@@ -35,7 +35,11 @@ MAX_ATOMS_DEFAULT = 5_000
 
 
 def _max_atoms() -> int:
-    return int(os.environ.get("PLQP_MAX_ATOMS", MAX_ATOMS_DEFAULT))
+    raw = os.environ.get("PLQP_MAX_ATOMS", MAX_ATOMS_DEFAULT)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"PLQP_MAX_ATOMS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,7 @@ def winf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BottleneckResult:
     a, b, total = scale_pair(mu.weights, nu.weights, scale=FLOW32_SCALE)
     values = np.unique(D)
     lo, hi = 0, len(values) - 1
-    ok, flow = _feasible_flow(D, a, b, total, values[hi])
-    if not ok:
-        raise InputError("bottleneck instance infeasible at the diameter")
+    flow = None
     while lo < hi:
         mid = (lo + hi) // 2
         feasible, f = _feasible_flow(D, a, b, total, values[mid])
@@ -85,6 +87,11 @@ def winf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BottleneckResult:
             flow = f
         else:
             lo = mid + 1
+    if flow is None:
+        # every smaller threshold failed: the witness is a flow at the diameter
+        ok, flow = _feasible_flow(D, a, b, total, values[hi])
+        if not ok:
+            raise InputError("bottleneck instance infeasible at the diameter")
     flow = flow.tocoo()
     pos = flow.data > 0
     plan = Coupling(
@@ -171,21 +178,60 @@ class RadialMeasure:
         return RadialMeasure(np.asarray(center, dtype=float), r[order], atoms.weights[order])
 
 
-def winf_radial(mu: RadialMeasure, nu: RadialMeasure) -> float:
-    """Bottleneck cost of the monotone rearrangement of radius distributions.
+def radial_reference(nu: RadialMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and cumulative weights of the positive atoms of `nu`: the fixed
+    side of `quantile_gaps`."""
+    keep = nu.weights > 0
+    return nu.radii[keep], np.cumsum(nu.weights)[keep]
 
-    Evaluated on the merged quantile grid: for each quantile level the
-    monotone coupling pairs the radii at that level, and the cost is the
-    largest gap.  An accelerator for concentric radial measures;
-    cross-validate against winf on coarse grids before trusting it on a new
-    family.
+
+def quantile_gaps(
+    radii: np.ndarray, weights: np.ndarray, ref_radii: np.ndarray, ref_cum: np.ndarray
+) -> np.ndarray:
+    """Bottleneck cost of the monotone coupling of each row against one
+    reference radius distribution.
+
+    `weights` holds one radius distribution per row on the shared sorted
+    `radii` (zero entries allowed); the reference is given by
+    `radial_reference`.  Each row is evaluated on its merged quantile grid
+    with the reference: at the midpoint of every merged level interval the
+    monotone coupling pairs the radii holding that quantile, and the cost is
+    the largest gap.  Quantiles past a row's (or the reference's) total go to
+    its last positive atom.
+    """
+    w = np.atleast_2d(weights)
+    cum = np.cumsum(w, axis=1)
+    rows, n = cum.shape
+    m = len(ref_cum)
+    # merge each row's levels with the reference's, row levels first on ties:
+    # row level i goes after the `below[i]` reference levels under it, and
+    # the reference levels fill the other places in order
+    below = np.searchsorted(ref_cum, cum, side="left")
+    from_row = np.zeros((rows, n + m), dtype=bool)
+    np.put_along_axis(from_row, np.arange(n) + below, True, axis=1)
+    merged = np.empty((rows, n + m))
+    merged[from_row] = cum.ravel()
+    merged[~from_row] = np.tile(ref_cum, rows)
+    prev = np.concatenate([np.zeros((rows, 1)), merged[:, :-1]], axis=1)
+    # an interval of positive length whose midpoint rounds onto its lower end
+    # holds the same pair as the interval below it
+    scored = (merged > prev) & ((prev + merged) / 2 > prev)
+    # the atoms holding (prev, level]: the first row and reference atoms
+    # whose cumulative weight reaches `level`
+    ia = np.cumsum(from_row, axis=1) - from_row
+    ib = np.minimum(np.arange(n + m) - ia, m - 1)
+    last = n - 1 - np.argmax(w[:, ::-1] > 0, axis=1)
+    ia = np.where(ia < n, ia, last[:, None])
+    return np.where(scored, np.abs(radii[ia] - ref_radii[ib]), 0.0).max(axis=1)
+
+
+def winf_radial(mu: RadialMeasure, nu: RadialMeasure) -> float:
+    """Bottleneck cost of the monotone rearrangement of radius distributions
+    (one row of `quantile_gaps`).
+
+    An accelerator for concentric radial measures; cross-validate against
+    winf on coarse grids before trusting it on a new family.
     """
     if np.linalg.norm(mu.center - nu.center) > 1e-12:
         raise InputError("radial measures must share a center")
-    ca = np.cumsum(mu.weights)
-    cb = np.cumsum(nu.weights)
-    levels = np.union1d(ca, cb)
-    mids = np.concatenate([[levels[0] / 2], (levels[:-1] + levels[1:]) / 2])
-    ia = np.minimum(np.searchsorted(ca, mids), len(ca) - 1)
-    ib = np.minimum(np.searchsorted(cb, mids), len(cb) - 1)
-    return float(np.abs(mu.radii[ia] - nu.radii[ib]).max())
+    return float(quantile_gaps(mu.radii, mu.weights, *radial_reference(nu))[0])

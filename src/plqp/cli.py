@@ -49,7 +49,10 @@ from .transport import monotone_1d, wq, wq_permutation_oracle
 def _parse_exponent(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"exponent must be a number or inf, got {text!r}") from None
 
 
 def _dump_json(payload: dict, out: str | None) -> None:

@@ -11,10 +11,15 @@ reports family-relative minimality only:
   to a quantized ladder level and rescale the component.  The functional and
   the distance are evaluated in profile space with continuum closed forms
   (ring-jump total variation, exact L^2/L^inf, monotone radial bottleneck),
-  with periodic cross-checks against the grid bottleneck.
+  with periodic cross-checks against the grid bottleneck.  A sweep scores
+  all moves of one component at once: row sums for the closed forms and one
+  batched quantile-gap kernel against the anchor's cumulative weights; the
+  components that did not move contribute constants.
 * Grid local search: greedy first-improvement descent over quantum mass
   transfers between adjacent cells; the transport part of the distance is
-  evaluated on coarse-binned atoms (sub-sampling factor recorded).
+  evaluated on coarse-binned atoms (sub-sampling factor recorded).  Within
+  one resolvent call each distinct coarse pair is solved once, keyed on what
+  the bottleneck solver reads, so a reused value equals a fresh solve.
 
 The anchor is always candidate 0, so Phi(out) <= phi(anchor) holds by
 construction, and so do the telescoped dissipation inequalities.
@@ -24,13 +29,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .bottleneck import RadialMeasure, winf_grid, winf_radial
+from . import bottleneck
+from ._scaling import FLOW32_SCALE, scale_pair
+from .bottleneck import RadialMeasure, quantile_gaps, radial_reference, winf_grid, winf_radial
 from .errors import InputError
 from .functionals import isop, sobolev_ratio
-from .measures import GridDensity, GridSpec, coarse_measure, grid_to_atoms, normalized_density
+from .measures import (
+    DiscreteMeasure,
+    GridDensity,
+    GridSpec,
+    coarse_measure,
+    grid_to_atoms,
+    normalized_density,
+)
 from .plmetric import PLMetricParams, lp_norm_diff
 
 SUBRINGS = 32  # sub-ring resolution used for the radial bottleneck
@@ -156,11 +171,10 @@ class _RadialState:
         self.family = family
         self.heights = [np.asarray(h, dtype=float) for h in heights]
 
-    def copy(self) -> "_RadialState":
-        return _RadialState(self.family, [h.copy() for h in self.heights])
-
-    def key(self) -> tuple:
-        return tuple(tuple(np.round(h, 14)) for h in self.heights)
+    def replace(self, j: int, h: np.ndarray) -> "_RadialState":
+        heights = list(self.heights)
+        heights[j] = h
+        return _RadialState(self.family, heights)
 
 
 def _ring_areas(R: float, rings: int) -> np.ndarray:
@@ -169,11 +183,11 @@ def _ring_areas(R: float, rings: int) -> np.ndarray:
 
 
 def _rescale_component(family: RadialFamily, j: int, h: np.ndarray) -> np.ndarray:
-    areas = _ring_areas(family.outer_radii[j], family.rings)
-    mass = float((h * areas).sum())
-    if mass <= 0:
+    """Rescale height rows of component j to the component mass."""
+    mass = (h * _ring_areas(family.outer_radii[j], family.rings)).sum(axis=-1)
+    if np.any(mass <= 0):
         raise InputError("component lost all mass")
-    return h * (family.masses[j] / mass)
+    return h * np.expand_dims(family.masses[j] / mass, -1)
 
 
 def _fit_anchor_profile(anchor: GridDensity, family: RadialFamily) -> _RadialState:
@@ -192,59 +206,65 @@ def _fit_anchor_profile(anchor: GridDensity, family: RadialFamily) -> _RadialSta
     return _RadialState(family, heights)
 
 
+def _tv_l2(fam: RadialFamily, j: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ring-jump total variation and squared L^2 norm of each height row of
+    component j (continuum closed forms of the piecewise-constant profile)."""
+    R = fam.outer_radii[j]
+    edges = np.linspace(0.0, R, fam.rings + 1)
+    tv = (np.abs(np.diff(h, axis=-1, append=0.0)) * 2 * math.pi * edges[1:]).sum(axis=-1)
+    l2sq = (h * h * _ring_areas(R, fam.rings)).sum(axis=-1)
+    return tv, l2sq
+
+
 def _profile_isop(state: _RadialState) -> float:
     """Continuum isoperimetric ratio of the piecewise-constant profile."""
-    fam = state.family
     tv = 0.0
     l2sq = 0.0
     for j, h in enumerate(state.heights):
-        R = fam.outer_radii[j]
-        edges = np.linspace(0.0, R, fam.rings + 1)
-        areas = _ring_areas(R, fam.rings)
-        hext = np.concatenate([h, [0.0]])
-        tv += float((np.abs(np.diff(hext)) * 2 * math.pi * edges[1:]).sum())
-        l2sq += float((h * h * areas).sum())
+        t, l2 = _tv_l2(state.family, j, h)
+        tv += float(t)
+        l2sq += float(l2)
     if l2sq <= 0:
         raise InputError("zero profile")
     return tv / math.sqrt(l2sq)
 
 
+def _subring_radii(fam: RadialFamily, j: int) -> np.ndarray:
+    fine_edges = np.linspace(0.0, fam.outer_radii[j], fam.rings * SUBRINGS + 1)
+    return 0.5 * (fine_edges[:-1] + fine_edges[1:])
+
+
+def _subring_weights(fam: RadialFamily, j: int, h: np.ndarray) -> np.ndarray:
+    """Normalized sub-ring radius marginal of each height row of component j
+    (zero entries kept, so every row lives on `_subring_radii`)."""
+    fine_edges = np.linspace(0.0, fam.outer_radii[j], fam.rings * SUBRINGS + 1)
+    w = np.repeat(h, SUBRINGS, axis=-1) * (math.pi * np.diff(fine_edges**2))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def _profile_radius_atoms(fam: RadialFamily, j: int, h: np.ndarray) -> RadialMeasure:
     """Sub-ring radius marginal of one component (for the radial bottleneck)."""
-    R = fam.outer_radii[j]
-    fine_edges = np.linspace(0.0, R, fam.rings * SUBRINGS + 1)
-    ring_of = np.repeat(np.arange(fam.rings), SUBRINGS)
-    areas = math.pi * np.diff(fine_edges**2)
-    w = h[ring_of] * areas
-    mids = 0.5 * (fine_edges[:-1] + fine_edges[1:])
-    total = w.sum()
-    if total <= 0:
+    if not (h > 0).any():
         raise InputError("zero profile")
-    keep = w > 0
-    return RadialMeasure(np.asarray(fam.centers[j]), mids[keep], w[keep] / total)
+    return RadialMeasure(
+        np.asarray(fam.centers[j]), _subring_radii(fam, j), _subring_weights(fam, j, h)
+    )
 
 
-def _profile_atoms(state: _RadialState) -> list[RadialMeasure]:
-    return [
-        _profile_radius_atoms(state.family, j, h) for j, h in enumerate(state.heights)
-    ]
-
-
-def _profile_distance(
-    a: _RadialState, b: _RadialState, b_atoms: list[RadialMeasure] | None = None
-) -> float:
+def _profile_distance(a: _RadialState, b: _RadialState) -> float:
     """Composite distance in profile space: per-component radial bottleneck
     (components keep their mass, so couplings stay component-wise) plus the
     exact L^inf height difference."""
     fam = a.family
-    if b_atoms is None:
-        b_atoms = _profile_atoms(b)
     wpart = 0.0
     lpart = 0.0
     for j in range(len(fam.centers)):
         wpart = max(
             wpart,
-            winf_radial(_profile_radius_atoms(fam, j, a.heights[j]), b_atoms[j]),
+            winf_radial(
+                _profile_radius_atoms(fam, j, a.heights[j]),
+                _profile_radius_atoms(fam, j, b.heights[j]),
+            ),
         )
         lpart = max(lpart, float(np.abs(a.heights[j] - b.heights[j]).max()))
     return wpart + lpart
@@ -269,7 +289,31 @@ def _radial_phi(prob: ResolventProblem, state: _RadialState) -> float:
     return sobolev_ratio(_materialize(state, prob.anchor.spec), prob.sobolev_r).value
 
 
+def _ring_moves(fam: RadialFamily, j: int, h: np.ndarray, ladder: np.ndarray):
+    """Every single-ring move of component j in (ring, level) order, rescaled
+    to the component mass, and the mask of the moves that count: a move must
+    change the height and leave the component some mass.  Rows of the other
+    moves hold `h` unchanged."""
+    ring = np.repeat(np.arange(fam.rings), len(ladder))
+    lev = np.tile(ladder, fam.rings)
+    rows = np.repeat(h[None, :], len(lev), axis=0)
+    rows[np.arange(len(lev)), ring] = lev
+    valid = (lev != h[ring]) & ((rows * _ring_areas(fam.outer_radii[j], fam.rings)).sum(axis=1) > 0)
+    rows[valid] = _rescale_component(fam, j, rows[valid])
+    rows[~valid] = h
+    return rows, valid
+
+
 def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None = None):
+    """Best-improvement sweeps over single-ring moves.
+
+    Each sweep scores all (ring, level) moves of one component as arrays:
+    ring-jump TV and L^2 as row sums, the L^inf height gap, and the radial
+    bottleneck as one `quantile_gaps` call against the anchor's cumulative
+    weights; the components that did not move contribute constants.  The
+    moves are then taken in (component, ring, level) order, and the sweep
+    keeps each one that beats the best value so far by more than 1e-12.
+    """
     fam: RadialFamily = prob.family
     if anchor_state is None:
         anchor_state = _fit_anchor_profile(prob.anchor, fam)
@@ -279,38 +323,49 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
     best_phi_val = phi_cur  # Phi(anchor) = phi(anchor): distance term is 0
     evaluated = 1
     sweeps = 0
-    anchor_atoms = _profile_atoms(anchor_state)
+    refs = [
+        radial_reference(_profile_radius_atoms(fam, j, h))
+        for j, h in enumerate(anchor_state.heights)
+    ]
+
+    def terms(j: int, rows: np.ndarray):
+        """Per-row (TV, squared L^2, radial bottleneck, L^inf gap) of
+        component j against the anchor."""
+        tv, l2sq = _tv_l2(fam, j, rows)
+        w = quantile_gaps(_subring_radii(fam, j), _subring_weights(fam, j, rows), *refs[j])
+        return tv, l2sq, w, np.abs(rows - anchor_state.heights[j]).max(axis=-1)
+
     ladders = [np.linspace(0.0, 1.5 * max(h.max(), 1e-12), fam.levels) for h in anchor_state.heights]
     while sweeps < fam.max_sweeps:
         sweeps += 1
         best_move = None
         best_val = best_phi_val
+        fixed = [terms(j, h[None, :]) for j, h in enumerate(current.heights)]
         for j in range(len(fam.centers)):
-            for k in range(fam.rings):
-                for lev in ladders[j]:
-                    if lev == current.heights[j][k]:
-                        continue
-                    cand = current.copy()
-                    cand.heights[j][k] = lev
+            rows, valid = _ring_moves(fam, j, current.heights[j], ladders[j])
+            tv, l2sq, w, lgap = zip(*fixed[:j], terms(j, rows), *fixed[j + 1 :])
+            if prob.phi == "isop":
+                phi = sum(tv) / np.sqrt(sum(l2sq))
+            else:
+                phi = np.full(len(rows), np.nan)
+                for r in np.flatnonzero(valid):
                     try:
-                        cand.heights[j] = _rescale_component(fam, j, cand.heights[j])
-                        val = (
-                            _radial_phi(prob, cand)
-                            + _profile_distance(cand, anchor_state, anchor_atoms) ** 2
-                            / (2 * prob.tau)
-                        )
+                        phi[r] = _radial_phi(prob, current.replace(j, rows[r]))
                     except InputError:
-                        continue
-                    evaluated += 1
-                    if val < best_val - 1e-12:
-                        best_val = val
-                        best_move = cand
+                        valid[r] = False
+            vals = phi + (reduce(np.maximum, w) + reduce(np.maximum, lgap)) ** 2 / (2 * prob.tau)
+            evaluated += int(valid.sum())
+            for r in np.flatnonzero(valid & (vals < best_val - 1e-12)):
+                if vals[r] < best_val - 1e-12:
+                    best_val = float(vals[r])
+                    best_move = current.replace(j, rows[r])
         if best_move is None:
             break
         current = best_move
         best_phi_val = best_val
         phi_cur = _radial_phi(prob, current)
     out = _materialize(current, prob.anchor.spec)
+    move = _profile_distance(current, anchor_state)
     diag = {
         "family": "radial",
         "rings": fam.rings,
@@ -319,9 +374,9 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
         "candidates_evaluated": evaluated,
         "phi_anchor": phi_anchor,
         "phi_out": phi_cur,
-        "movement_profile": _profile_distance(current, anchor_state),
+        "movement_profile": move,
     }
-    return out, current, float(best_phi_val), diag
+    return out, current, float(best_phi_val), move, diag
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +384,10 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
 # ---------------------------------------------------------------------------
 
 
-def _coarse_winf(a: GridDensity, b: GridDensity, bins: int) -> float:
-    """Bottleneck between coarse-binned atomizations (sub-sampled metric)."""
-    from .bottleneck import winf
-
-    atoms_a = grid_to_atoms(a)
-    atoms_b = grid_to_atoms(b)
-    ca = coarse_measure(atoms_a.points, atoms_a.weights, a.spec, bins)
-    cb = coarse_measure(atoms_b.points, atoms_b.weights, b.spec, bins)
-    return winf(ca, cb).value
+def _coarse(g: GridDensity, bins: int) -> DiscreteMeasure:
+    """Coarse-binned atomization (the sub-sampled transport metric's input)."""
+    atoms = grid_to_atoms(g)
+    return coarse_measure(atoms.points, atoms.weights, g.spec, bins)
 
 
 def _grid_phi(prob: ResolventProblem, g: GridDensity) -> float:
@@ -346,21 +396,47 @@ def _grid_phi(prob: ResolventProblem, g: GridDensity) -> float:
     return sobolev_ratio(g, prob.sobolev_r).value
 
 
-def _grid_resolvent(prob: ResolventProblem):
+class _CoarseBottleneck:
+    """Coarse bottleneck from grid states to one fixed anchor.
+
+    Most moves of the grid search leave the coarse-binned measure unchanged,
+    so each distinct coarse pair is solved once, keyed on exactly what `winf`
+    reads: the coarse support points and the integer capacities of both
+    sides.  A reused value is therefore the value a fresh solve returns.  One
+    instance serves one resolvent call.
+    """
+
+    def __init__(self, anchor: GridDensity, bins: int):
+        self.bins = bins
+        self.anchor = _coarse(anchor, bins)
+        self.solved: dict[tuple, float] = {}
+
+    def __call__(self, g: GridDensity) -> float:
+        coarse = _coarse(g, self.bins)
+        a, b, _ = scale_pair(coarse.weights, self.anchor.weights, scale=FLOW32_SCALE)
+        key = (coarse.points.tobytes(), a.tobytes(), b.tobytes())
+        if key not in self.solved:
+            self.solved[key] = bottleneck.winf(coarse, self.anchor).value
+        return self.solved[key]
+
+
+def _grid_resolvent(prob: ResolventProblem, _state=None):
+    """Greedy first-improvement descent over quantum transfers between
+    adjacent cells."""
     fam: GridSearchFamily = prob.family
     spec = prob.anchor.spec
     if int(np.prod(spec.shape)) > 4096:
         raise InputError("grid local search is limited to 4096 cells")
     vol = spec.cell_volume
     anchor = prob.anchor
+    coarse_winf = _CoarseBottleneck(anchor, fam.coarse_bins)
 
     def phi_of(vals) -> float:
         return _grid_phi(prob, GridDensity(spec, vals))
 
     def dist_to_anchor(vals) -> float:
         g = GridDensity(spec, vals)
-        w = _coarse_winf(g, anchor, fam.coarse_bins)
-        return w + lp_norm_diff(g, anchor, math.inf)
+        return coarse_winf(g) + lp_norm_diff(g, anchor, math.inf)
 
     cur = anchor.values.copy()
     phi_anchor = phi_of(cur)
@@ -412,7 +488,7 @@ def _grid_resolvent(prob: ResolventProblem):
         "phi_anchor": phi_anchor,
         "phi_out": phi_of(cur),
     }
-    return out, None, float(cur_val), diag
+    return out, None, float(cur_val), dist_to_anchor(cur), diag
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +496,23 @@ def _grid_resolvent(prob: ResolventProblem):
 # ---------------------------------------------------------------------------
 
 
+def _family_resolvent(prob: ResolventProblem):
+    """The family's resolvent: (prob, family state or None) ->
+    (state, family state, Phi value, movement, diagnostics)."""
+    if isinstance(prob.family, RadialFamily):
+        return _radial_resolvent
+    if isinstance(prob.family, GridSearchFamily):
+        return _grid_resolvent
+    raise InputError(f"unknown family {type(prob.family).__name__}")
+
+
 def resolvent(prob: ResolventProblem):
     """Approximate minimizer of Phi(. ; tau, anchor) within the declared
     family.  Returns (state, Phi value, diagnostics)."""
     if not (math.isinf(prob.metric.q) and math.isinf(prob.metric.p)):
         raise InputError("the scheme is implemented for the (inf, inf) metric")
-    if isinstance(prob.family, RadialFamily):
-        out, _, val, diag = _radial_resolvent(prob)
-        return out, val, diag
-    if isinstance(prob.family, GridSearchFamily):
-        out, _, val, diag = _grid_resolvent(prob)
-        return out, val, diag
-    raise InputError(f"unknown family {type(prob.family).__name__}")
+    out, _, val, _, diag = _family_resolvent(prob)(prob)
+    return out, val, diag
 
 
 def run_scheme(
@@ -445,60 +526,33 @@ def run_scheme(
     With `cross_check_every = k > 0`, every k-th step also records the grid
     bottleneck between consecutive states next to the family metric.
     """
+    step = _family_resolvent(prob_template)
+    fam = prob_template.family
+    # carry the family state: the anchor of each step is exactly the previous
+    # minimizer, keeping the dissipation ledger exact
+    fam_state = _fit_anchor_profile(anchor, fam) if isinstance(fam, RadialFamily) else None
     states = [anchor]
     diags = []
     movements = []
     moreaus = []
-    if isinstance(prob_template.family, RadialFamily):
-        fam = prob_template.family
-        prob0 = ResolventProblem(
-            prob_template.phi, partition.steps[0], anchor, fam,
+    for step_i, tau in enumerate(partition.steps):
+        prob = ResolventProblem(
+            prob_template.phi, tau, states[-1], fam,
             prob_template.metric, prob_template.sobolev_r,
         )
-        cur_state = _fit_anchor_profile(anchor, fam)
-        phis = [_radial_phi(prob0, cur_state)]
-        cur_grid = anchor
-        for step_i, tau in enumerate(partition.steps):
-            prob = ResolventProblem(
-                prob_template.phi, tau, cur_grid, fam,
-                prob_template.metric, prob_template.sobolev_r,
-            )
-            # carry the profile state: the anchor of each step is exactly the
-            # previous minimizer, keeping the dissipation ledger exact
-            out_grid, out_state, val, diag = _radial_resolvent(prob, cur_state)
-            move = _profile_distance(out_state, cur_state)
-            if cross_check_every and (step_i + 1) % cross_check_every == 0:
-                check = winf_grid(out_grid, cur_grid)
-                diag["winf_grid_cross_check"] = check.value
-                diag["winf_grid_quantization"] = check.quantization_bound
-            movements.append(move)
-            moreaus.append(val)
-            phis.append(diag["phi_out"])
-            diags.append(diag)
-            states.append(out_grid)
-            cur_state = out_state
-            cur_grid = out_grid
-    else:
-        phis = [_grid_phi(prob_template, anchor)]
-        cur = anchor
-        for tau in partition.steps:
-            prob = ResolventProblem(
-                prob_template.phi, tau, cur, prob_template.family,
-                prob_template.metric, prob_template.sobolev_r,
-            )
-            out, val, diag = _grid_resolvent(prob)
-            w = _coarse_winf(out, cur, prob_template.family.coarse_bins)
-            move = w + lp_norm_diff(out, cur, math.inf)
-            movements.append(move)
-            moreaus.append(val)
-            phis.append(diag["phi_out"])
-            diags.append(diag)
-            states.append(out)
-            cur = out
+        out, fam_state, val, move, diag = step(prob, fam_state)
+        if cross_check_every and (step_i + 1) % cross_check_every == 0:
+            check = winf_grid(out, states[-1])
+            diag["winf_grid_cross_check"] = check.value
+            diag["winf_grid_quantization"] = check.quantization_bound
+        movements.append(move)
+        moreaus.append(val)
+        diags.append(diag)
+        states.append(out)
     return DiscreteSolution(
         partition,
         tuple(states),
-        tuple(phis),
+        (diags[0]["phi_anchor"],) + tuple(d["phi_out"] for d in diags),
         tuple(moreaus),
         tuple(movements),
         tuple(diags),
@@ -590,7 +644,7 @@ def refine_and_compare(
         for t in sample_times:
             ga, gb = state_at(a, t), state_at(b, t)
             sigma_dist = lp_norm_diff(ga, gb, p_sigma)
-            w = _coarse_winf(ga, gb, coarse_bins)
+            w = bottleneck.winf(_coarse(ga, coarse_bins), _coarse(gb, coarse_bins)).value
             rows.append(
                 {
                     "t": float(t),

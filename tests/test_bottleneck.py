@@ -6,6 +6,8 @@ import pytest
 from plqp.bottleneck import (
     RadialMeasure,
     neighborhood_check,
+    quantile_gaps,
+    radial_reference,
     winf,
     winf_grid,
     winf_permutation_oracle,
@@ -198,6 +200,61 @@ def test_radial_agrees_with_winf_on_ramp_balls():
         RadialMeasure.from_grid(a, (0.0, 0.0)), RadialMeasure.from_grid(b, (0.0, 0.0))
     )
     assert abs(exact - rad) <= 2 * spec.h
+
+
+def merged_quantile_gap(radii, weights, ref_radii, ref_weights):
+    """Per-row reference: the merged quantile-grid formula on positive atoms."""
+    ka, kb = weights > 0, ref_weights > 0
+    ra, rb = radii[ka], ref_radii[kb]
+    ca, cb = np.cumsum(weights[ka]), np.cumsum(ref_weights[kb])
+    levels = np.union1d(ca, cb)
+    mids = np.concatenate([[levels[0] / 2], (levels[:-1] + levels[1:]) / 2])
+    ia = np.minimum(np.searchsorted(ca, mids), len(ca) - 1)
+    ib = np.minimum(np.searchsorted(cb, mids), len(cb) - 1)
+    return float(np.abs(ra[ia] - rb[ib]).max())
+
+
+def ring_profiles(rng, n, rings, sub, zero_first=False):
+    """Sub-ring weight rows of random ring profiles: each ring is split into
+    `sub` sub-rings, and some rings are empty (zero-weight sub-rings)."""
+    h = rng.uniform(0.0, 1.0, (n, rings))
+    h[rng.uniform(size=(n, rings)) < 0.3] = 0.0
+    if zero_first:
+        h[:, 0] = 0.0
+    h[h.sum(axis=1) == 0, -1] = 1.0
+    w = np.repeat(h, sub, axis=1) * rng.uniform(0.5, 1.5, (n, rings * sub))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("case", ["random", "zero_first", "short", "absorbed"])
+def test_quantile_gaps_match_merged_quantile_formula(case):
+    rng = np.random.default_rng(["random", "zero_first", "short", "absorbed"].index(case))
+    for trial in range(60):
+        rings, sub = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        radii = np.sort(rng.uniform(0.0, 2.0, rings * sub))
+        rows = ring_profiles(rng, 12, rings, sub, zero_first=case == "zero_first")
+        if trial % 2:
+            # shared quantile levels: the reference is one of the rows
+            ref_radii, ref_w = radii, rows[0].copy()
+        else:
+            ref_rings, ref_sub = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+            ref_radii = np.sort(rng.uniform(0.0, 2.0, ref_rings * ref_sub))
+            ref_w = ring_profiles(rng, 1, ref_rings, ref_sub, zero_first=case == "zero_first")[0]
+        if case == "short":
+            # rows end 3-6 ulps below 1; the reference's outermost sub-ring
+            # holds 2 ulps, so it is only reached through those last quantiles
+            for row in rows[1:]:
+                row[np.flatnonzero(row)[-1]] -= int(rng.integers(3, 7)) * 2.0**-53
+            ref_radii = np.append(ref_radii, 2.5)
+            ref_w = np.append(ref_w * (1 - 2.0**-52), 2.0**-52)
+        if case == "absorbed":
+            # a far sub-ring too light to move the cumulative weight
+            rows[1:, -1] = 1e-20
+            radii[-1] = 2.5
+        nu = RadialMeasure(np.zeros(2), ref_radii, ref_w)
+        got = quantile_gaps(radii, rows, *radial_reference(nu))
+        want = [merged_quantile_gap(radii, w, nu.radii, nu.weights) for w in rows]
+        np.testing.assert_array_equal(got, want)
 
 
 def test_grid_quantization_bound_reported():

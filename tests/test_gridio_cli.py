@@ -107,6 +107,21 @@ def test_cli_dist_indicator_pair(tmp_path):
     assert payload["transport_part"] == pytest.approx(0.5, abs=2 * spec.h)
 
 
+def test_cli_dist_bad_exponent_exit_2(ball_file):
+    path, _ = ball_file
+    r = run_cli("dist", "--q", "abc", str(path), str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_cli_dist_bad_atom_cap_exit_2(ball_file, monkeypatch):
+    path, _ = ball_file
+    monkeypatch.setenv("PLQP_MAX_ATOMS", "x")
+    r = run_cli("dist", str(path), str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_cli_isop(ball_file):
     path, ball = ball_file
     r = run_cli("isop", str(path))
@@ -190,6 +205,35 @@ def test_cli_mms_roundtrip(tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(phis, phis[1:]))
     assert (out / "state_0000.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_cli_mms_grid_family(tmp_path):
+    cfg = {
+        "anchor": {
+            "kind": "ramp_ball",
+            "grid": {"n": 16, "extent": 4.0},
+            "center": [0.0, 0.0],
+            "R": 1.0,
+            "w": 0.6,
+            "guard": 0.05,
+        },
+        "family": {"kind": "grid", "quantum": 1e-3, "budget": 4, "coarse_bins": 8},
+        "tau": 2.0,
+        "steps": 2,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "mmsout"
+    r = run_cli("mms", "--config", str(cfg_path), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    ledger = json.loads((out / "ledger.json").read_text())
+    phis = [ledger["phi_initial"]] + [s["phi"] for s in ledger["steps"]]
+    assert all(a >= b - 1e-12 for a, b in zip(phis, phis[1:]))
+    spent = 0.0
+    for phi, step in zip(phis[1:], ledger["steps"]):
+        spent += step["movement"] ** 2 / (2 * step["tau"])
+        assert phi + spent <= phis[0] + 1e-9
+    assert (out / "state_0002.csv").exists()
 
 
 def test_cli_mms_bad_config_exit_2(tmp_path):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from plqp import bottleneck, mms
 from plqp.errors import InputError
-from plqp.functionals import BALL_ISOP_2D
+from plqp.functionals import BALL_ISOP_2D, isop
 from plqp.measures import make_multiball, make_ramp_ball
 from plqp.mms import (
     GridSearchFamily,
@@ -14,6 +17,7 @@ from plqp.mms import (
     run_scheme,
     solution_ledger,
 )
+from plqp.plmetric import lp_norm_diff
 
 from helpers import square_grid
 
@@ -30,6 +34,15 @@ def two_ball_setup(tau=0.1):
     mb = make_multiball(spec, [(-1.4, 0.0), (1.4, 0.0)], [0.9, 0.9], [0.75, 0.25], 0.25)
     fam = RadialFamily.from_anchor(mb, [(-1.4, 0.0), (1.4, 0.0)], [1.2, 1.2], rings=8, levels=32)
     return mb, ResolventProblem("isop", tau, mb, fam)
+
+
+def grid_setup():
+    spec = square_grid(20, 4.4)
+    mb = make_multiball(
+        spec, [(-1.1, 0.0), (1.1, 0.0)], [0.6, 0.6], [0.7, 0.3], 2 * spec.h, guard=0.1
+    )
+    fam = GridSearchFamily(quantum=2e-3, budget=40, coarse_bins=8)
+    return mb, ResolventProblem("isop", 0.5, mb, fam)
 
 
 def test_partition_validation():
@@ -200,3 +213,55 @@ def test_equal_ratio_probe_reports_without_asserting_outcome():
     rep = equal_ratio_probe(mb, [(-1.5, 0.0), (1.3, 0.0)], [1.1, 1.5], tau=0.1)
     assert rep["moreau_out"] <= rep["phi_anchor"] + 1e-12
     assert "moved" in rep and "note" in rep
+
+
+@pytest.mark.parametrize(
+    "setup, sweeps, candidates", [(two_ball_setup, 41, 20829), (ball_setup, 29, 7396)]
+)
+def test_radial_search_counts_are_pinned(setup, sweeps, candidates):
+    # whole-sweep scoring runs the search of the one-candidate-at-a-time loop
+    _, prob = setup()
+    _, _, diag = resolvent(prob)
+    assert (diag["sweeps"], diag["candidates_evaluated"]) == (sweeps, candidates)
+
+
+def test_grid_search_reuses_exact_coarse_values(monkeypatch):
+    mb, prob = grid_setup()
+    bins = prob.family.coarse_bins
+    anchor_coarse = mms._coarse(mb, bins)
+    fresh = {}
+    used = []
+
+    class Checked(mms._CoarseBottleneck):
+        def __call__(self, g):
+            value = super().__call__(g)
+            coarse = mms._coarse(g, bins)
+            pair = (coarse.points.tobytes(), coarse.weights.tobytes())
+            if pair not in fresh:
+                fresh[pair] = bottleneck.winf(coarse, anchor_coarse).value
+            used.append((value, fresh[pair]))
+            return value
+
+    monkeypatch.setattr(mms, "_CoarseBottleneck", Checked)
+    out, val, diag = resolvent(prob)
+    assert len(used) > diag["candidates_evaluated"] > len(fresh)
+    assert all(value == want for value, want in used)
+    w = bottleneck.winf(mms._coarse(out, bins), anchor_coarse).value
+    assert val == isop(out).value + (w + lp_norm_diff(out, mb, math.inf)) ** 2 / (2 * prob.tau)
+
+
+def test_grid_scheme_ledger():
+    mb, _ = grid_setup()
+    prob = ResolventProblem("isop", 0.5, mb, GridSearchFamily(quantum=2e-3, budget=4, coarse_bins=8))
+    part = StepPartition.uniform(0.5, 2)
+    sol = run_scheme(mb, part, prob)
+    phis = np.array(sol.phi_values)
+    assert np.all(np.diff(phis) <= 1e-12)
+    for j in range(len(part.steps)):
+        acc = phis[j + 1] + sum(
+            sol.movement[k] ** 2 / (2 * part.steps[k]) for k in range(j + 1)
+        )
+        assert acc <= phis[0] + 1e-9
+    # the step movement is the distance the resolvent scored for its output
+    for k, m in enumerate(sol.movement):
+        assert sol.moreau_values[k] == sol.phi_values[k + 1] + m**2 / (2 * part.steps[k])

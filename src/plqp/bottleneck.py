@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import maximum_flow
 
-from ._scaling import FLOW32_SCALE, scale_pair
+from ._scaling import scale_pair
 from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
 from .transport import Coupling, _pairwise_distances
@@ -75,7 +75,7 @@ def winf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BottleneckResult:
     if len(mu) > cap or len(nu) > cap:
         raise InputError(f"instance exceeds PLQP_MAX_ATOMS={cap} atoms per side")
     D = _pairwise_distances(mu, nu)
-    a, b, total = scale_pair(mu.weights, nu.weights, scale=FLOW32_SCALE)
+    a, b, total = scale_pair(mu.weights, nu.weights)
     values = np.unique(D)
     lo, hi = 0, len(values) - 1
     flow = None

@@ -321,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("curve", help="emit a generated curve and its residual report")
     c.add_argument("--kind", required=True, choices=["translate", "dilate"])
     c.add_argument("--grid", required=True)
-    c.add_argument("--param", required=True, help="vx,vy for translate; M for dilate")
+    c.add_argument(
+        "--param",
+        required=True,
+        help="vx,vy for translate; M for dilate (write a negative value as --param=-0.25,0)",
+    )
     c.add_argument("--times", required=True, help="comma-separated times")
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_curve)

@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from . import bottleneck
-from ._scaling import FLOW32_SCALE, scale_pair
+from ._scaling import scale_pair
 from .bottleneck import RadialMeasure, quantile_gaps, radial_reference, winf_grid, winf_radial
 from .errors import InputError
 from .functionals import isop, sobolev_ratio
@@ -413,7 +413,7 @@ class _CoarseBottleneck:
 
     def __call__(self, g: GridDensity) -> float:
         coarse = _coarse(g, self.bins)
-        a, b, _ = scale_pair(coarse.weights, self.anchor.weights, scale=FLOW32_SCALE)
+        a, b, _ = scale_pair(coarse.weights, self.anchor.weights)
         key = (coarse.points.tobytes(), a.tobytes(), b.tobytes())
         if key not in self.solved:
             self.solved[key] = bottleneck.winf(coarse, self.anchor).value

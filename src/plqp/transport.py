@@ -1,11 +1,12 @@
 """Exact q-Wasserstein distances between discrete measures, 1 <= q < infinity.
 
-Two exact backends solve the transport linear program on the complete
-bipartite graph: an integer-scaled min-cost flow (network simplex) for small
-instances, and a dense LP solved by the HiGHS simplex for larger ones.  The
-reported cost is always re-evaluated from the returned plan in float, so it
-matches the plan to machine precision; cost quantization from the integer
-scaling is 1e-12 relative.
+`wq` solves the transport linear program on the complete bipartite graph with
+HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018), presolve off, on every
+instance size.  Each solve is certified against the true float weights: the
+plan's marginals to MARGINAL_TOL, and optimality by the LP duals (u, v):
+reduced costs d^q - u - v >= 0 on all pairs and a zero duality gap, both to
+OPTIMALITY_TOL * max(1, max d^q).  The reported cost is re-evaluated
+from the returned plan in float, so it matches the plan to machine precision.
 """
 
 from __future__ import annotations
@@ -14,18 +15,22 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from ._scaling import WEIGHT_SCALE, scale_pair
 from .errors import InfeasibleError, InputError
 from .measures import DiscreteMeasure
 
 MARGINAL_TOL = 1e-9
-# above this many bipartite edges, switch from network simplex to the LP
-MCF_EDGE_CAP = 12_000
+# relative to max(1, max d^q): bound on negative reduced costs and the gap
+OPTIMALITY_TOL = 1e-9
+# presolve costs more than it saves on dense transport LPs at every size measured
+LP_OPTIONS = {
+    "presolve": False,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 # hard cap on instance size: error out instead of approximating
 MAX_DENSE_ATOMS = 5_000
 
@@ -73,7 +78,6 @@ class TransportResult:
     cost: float
     q: float
     plan: Coupling
-    solver: str
 
 
 def _pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -88,35 +92,11 @@ def _plan_cost(D: np.ndarray, plan: Coupling, q: float) -> float:
     return float(np.dot(plan.flow, dq)) ** (1.0 / q)
 
 
-def _solve_mcf(Cq: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> Coupling:
-    """Integer min-cost flow (network simplex) on scaled weights and costs."""
-    m, n = Cq.shape
-    a, b, _ = scale_pair(wa, wb)
-    cmax = Cq.max()
-    scale = WEIGHT_SCALE / cmax if cmax > 0 else 1.0
-    Ci = np.rint(Cq * scale).astype(np.int64)
-    G = nx.DiGraph()
-    for i in range(m):
-        G.add_node(i, demand=-int(a[i]))
-    for j in range(n):
-        G.add_node(m + j, demand=int(b[j]))
-    for i in range(m):
-        row = Ci[i]
-        for j in range(n):
-            G.add_edge(i, m + j, weight=int(row[j]))
-    _, flow = nx.network_simplex(G)
-    src, dst, vals = [], [], []
-    for i, targets in flow.items():
-        for j, f in targets.items():
-            if f > 0:
-                src.append(i)
-                dst.append(j - m)
-                vals.append(f / WEIGHT_SCALE)
-    return Coupling(np.array(src, int), np.array(dst, int), np.array(vals, float), m, n)
-
-
-def _solve_lp(Cq: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> Coupling:
-    """Dense transport LP via the HiGHS simplex."""
+def _solve_lp(
+    Cq: np.ndarray, wa: np.ndarray, wb: np.ndarray
+) -> tuple[Coupling, np.ndarray, np.ndarray]:
+    """Dense transport LP via HiGHS: the plan and the duals u, v of the
+    supply and demand rows."""
     m, n = Cq.shape
     cols = np.arange(m * n)
     rows_supply = np.repeat(np.arange(m), n)
@@ -129,23 +109,40 @@ def _solve_lp(Cq: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> Coupling:
         shape=(m + n, m * n),
     )
     b = np.concatenate([wa, wb])
-    res = linprog(
-        Cq.ravel(),
-        A_eq=A,
-        b_eq=b,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
+    res = linprog(Cq.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=LP_OPTIONS)
     if res.status != 0:
         raise InfeasibleError(f"transport LP failed: {res.message}")
     x = np.asarray(res.x).reshape(m, n)
     x[x < 0] = 0.0
     src, dst = np.nonzero(x)
-    return Coupling(src, dst, x[src, dst], m, n)
+    duals = np.asarray(res.eqlin.marginals)
+    return Coupling(src, dst, x[src, dst], m, n), duals[:m], duals[m:]
+
+
+def check_optimality(
+    Cq: np.ndarray,
+    plan: Coupling,
+    u: np.ndarray,
+    v: np.ndarray,
+    wa: np.ndarray,
+    wb: np.ndarray,
+) -> tuple[float, float]:
+    """Certify that `plan` is optimal for costs Cq and weights wa, wb.
+
+    The duals must be feasible, Cq - u - v >= -OPTIMALITY_TOL * max(1, max Cq)
+    on all m x n pairs, and close the gap: |<plan, Cq> - (u.wa + v.wb)| within
+    the same bound.  Returns (worst negative reduced cost, gap), both
+    absolute; raises InfeasibleError when either exceeds the bound.
+    """
+    bound = OPTIMALITY_TOL * max(1.0, float(Cq.max()))
+    neg = max(0.0, -float((Cq - u[:, None] - v[None, :]).min()))
+    gap = abs(float(np.dot(plan.flow, Cq[plan.src, plan.dst])) - float(u @ wa + v @ wb))
+    if neg > bound or gap > bound:
+        raise InfeasibleError(
+            f"transport optimality certificate fails: reduced cost -{neg:.3g}, "
+            f"gap {gap:.3g}, bound {bound:.3g}"
+        )
+    return neg, gap
 
 
 def wq(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> TransportResult:
@@ -158,14 +155,10 @@ def wq(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> TransportResult:
         raise InputError(f"instance exceeds {MAX_DENSE_ATOMS} atoms per side")
     D = _pairwise_distances(mu, nu)
     Cq = D**q
-    if D.size <= MCF_EDGE_CAP:
-        plan = _solve_mcf(Cq, mu.weights, nu.weights)
-        solver = "mincost-flow"
-    else:
-        plan = _solve_lp(Cq, mu.weights, nu.weights)
-        solver = "lp-simplex"
+    plan, u, v = _solve_lp(Cq, mu.weights, nu.weights)
     plan.check_marginals(mu, nu)
-    return TransportResult(_plan_cost(D, plan, q), q, plan, solver)
+    check_optimality(Cq, plan, u, v, mu.weights, nu.weights)
+    return TransportResult(_plan_cost(D, plan, q), q, plan)
 
 
 def wq_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from plqp import gridio
 from plqp.errors import InputError
-from plqp.measures import make_ramp_ball, translate_curve
+from plqp.measures import _int_shift, make_ramp_ball, translate_curve
 
 from helpers import square_grid
 
@@ -172,6 +172,22 @@ def test_cli_curve_reconstruct_roundtrip(tmp_path, ball_file):
     assert r2.returncode == 0
     rec = json.loads(r2.stdout)
     assert len(rec["interval_sup_norms"]) == 4
+
+
+def test_cli_curve_negative_param(tmp_path, ball_file):
+    # a value starting with "-" must be attached with "=", or argparse reads
+    # it as an option; a leftward whole-cell translation is an exact shift
+    path, ball = ball_file
+    out = tmp_path / "curve"
+    h = ball.spec.h
+    r = run_cli(
+        "curve", "--kind", "translate", "--grid", str(path),
+        f"--param=-{h!r},0", "--times", "0,1,2", "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    for k in range(3):
+        state = gridio.read_grid(out / f"curve_{k:04d}.csv")
+        np.testing.assert_array_equal(state.values, _int_shift(ball.values, 0, -k))
 
 
 def test_cli_mms_roundtrip(tmp_path):

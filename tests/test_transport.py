@@ -1,15 +1,23 @@
+import ast
+import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plqp.errors import InputError
+import plqp
+from plqp import transport
+from plqp.errors import InfeasibleError, InputError
 from plqp.measures import DiscreteMeasure
 from plqp.transport import (
+    _pairwise_distances,
     _solve_lp,
-    _solve_mcf,
+    check_optimality,
     monotone_1d,
     wq,
     wq_permutation_oracle,
@@ -117,29 +125,103 @@ def test_wq_equals_monotone_1d():
         assert abs(wq(a, b, q).cost - monotone_1d(a, b, q)) <= TOL
 
 
-def test_both_solver_routes_agree():
+def eighths(rng, m):
+    """m positive multiples of 1/8 summing to 1, not all equal."""
+    while True:
+        cuts = np.sort(rng.choice(np.arange(1, 8), m - 1, replace=False))
+        counts = np.diff(np.concatenate([[0], cuts, [8]]))
+        if len(set(counts)) > 1:
+            return counts
+
+
+def test_wq_exact_on_nonuniform_pairs_via_split_atoms():
+    # splitting an atom of weight k/8 into k copies of weight 1/8 leaves W_q
+    # unchanged, and the split pair is uniform with 8 atoms a side, so brute
+    # force over its 8! assignments is an independent reference for m != n,
+    # non-uniform.  DiscreteMeasure merges duplicate points, so the split pair
+    # is kept as its repeated cost matrix, not as measures.
+    perms = np.array(list(itertools.permutations(range(8))))
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        m = int(rng.integers(4, 12))
-        a = random_measure(rng, m)
-        b = random_measure(rng, m + 3)
-        D = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
-        q = 2.0
-        p1 = _solve_mcf(D**q, a.weights, b.weights)
-        p2 = _solve_lp(D**q, a.weights, b.weights)
-        c1 = float(np.dot(p1.flow, D[p1.src, p1.dst] ** q))
-        c2 = float(np.dot(p2.flow, D[p2.src, p2.dst] ** q))
-        assert c1 == pytest.approx(c2, abs=1e-10)
+    for q in (1.0, 1.5, 2.0, 3.0, 2.0, 1.0):
+        m = int(rng.integers(2, 6))
+        n = int(rng.choice([k for k in range(2, 7) if k != m]))
+        ca, cb = eighths(rng, m), eighths(rng, n)
+        mu = DiscreteMeasure(rng.uniform(0, 10, (m, 2)), ca / 8)
+        nu = DiscreteMeasure(rng.uniform(0, 10, (n, 2)), cb / 8)
+        Dq = _pairwise_distances(mu, nu) ** q
+        split = np.repeat(np.repeat(Dq, ca, axis=0), cb, axis=1)
+        best = split[np.arange(8), perms].sum(axis=1).min() / 8
+        assert abs(wq(mu, nu, q).cost - best ** (1 / q)) <= TOL
 
 
-def test_large_instance_uses_lp_route():
+def test_optimality_certificate_holds_and_rejects_perturbed_duals():
     rng = np.random.default_rng(10)
-    a = random_measure(rng, 120)
-    b = random_measure(rng, 120)
-    res = wq(a, b, 2.0)
-    assert res.solver == "lp-simplex"
-    res_small = wq(*uniform_pair(rng, 5), 2.0)
-    assert res_small.solver == "mincost-flow"
+    for _ in range(10):
+        # unit box: the bound 1e-9 * max(1, max Cq) stays below 3e-9
+        a = random_measure(rng, int(rng.integers(1, 30)), box=1.0)
+        b = random_measure(rng, int(rng.integers(1, 30)), box=1.0)
+        q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        Cq = _pairwise_distances(a, b) ** q
+        plan, u, v = _solve_lp(Cq, a.weights, b.weights)
+        neg, gap = check_optimality(Cq, plan, u, v, a.weights, b.weights)
+        assert max(neg, gap) <= 1e-9 * max(1.0, Cq.max())
+        # every row and column carries flow, so raising any one dual by 1e-6
+        # makes a reduced cost on the plan's support negative by 1e-6
+        for i in range(len(u)):
+            bad = u.copy()
+            bad[i] += 1e-6
+            with pytest.raises(InfeasibleError, match="certificate"):
+                check_optimality(Cq, plan, bad, v, a.weights, b.weights)
+        for j in range(len(v)):
+            bad = v.copy()
+            bad[j] += 1e-6
+            with pytest.raises(InfeasibleError, match="certificate"):
+                check_optimality(Cq, plan, u, bad, a.weights, b.weights)
+
+
+def test_wq_raises_when_certificate_fails(monkeypatch):
+    def perturbed(Cq, wa, wb):
+        plan, u, v = _solve_lp(Cq, wa, wb)
+        return plan, u + 1e-6, v
+
+    monkeypatch.setattr(transport, "_solve_lp", perturbed)
+    rng = np.random.default_rng(11)
+    with pytest.raises(InfeasibleError, match="certificate"):
+        wq(random_measure(rng, 4, box=1.0), random_measure(rng, 5, box=1.0), 2.0)
+
+
+def test_runs_on_numpy_and_scipy_alone():
+    # plqp's sources import only the standard library, numpy and scipy ...
+    named = set()
+    for path in Path(plqp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                named.add(node.module)
+    third_party = {name for name in named if name.split(".")[0] not in sys.stdlib_module_names}
+    assert {name.split(".")[0] for name in third_party} == {"numpy", "scipy"}
+    # ... and, once those are loaded, importing plqp and running the CLI loads
+    # nothing from site-packages outside plqp, numpy and scipy
+    script = f"""
+import contextlib, importlib, io, os, sys, sysconfig
+for name in {sorted(third_party)!r}:
+    importlib.import_module(name)
+before = set(sys.modules)
+import plqp, plqp.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert plqp.cli.main(["oracle", "--instances", "3", "--seed", "0"]) == 0
+real = lambda path: os.path.realpath(path) + os.sep
+own = [real(os.path.dirname(sys.modules[top].__file__)) for top in ("plqp", "numpy", "scipy")]
+site = [real(sysconfig.get_paths()[k]) for k in ("purelib", "platlib")]
+for name in sorted(set(sys.modules) - before):
+    f = os.path.realpath(getattr(sys.modules[name], "__file__", None) or own[0])
+    if not any(f.startswith(d) for d in own) and any(f.startswith(d) for d in site):
+        print(name)
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == []
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ from .measures import (
     mollify,
     translate_curve,
 )
-from .transport import Coupling, TransportResult, monotone_1d, wq, wq_permutation_oracle
+from .transport import (
+    Coupling,
+    TransportResult,
+    TransportStats,
+    monotone_1d,
+    wq,
+    wq_permutation_oracle,
+)
 from .bottleneck import (
     BottleneckResult,
     RadialMeasure,

@@ -46,13 +46,50 @@ from .plmetric import PLMetricParams, dqp
 from .transport import monotone_1d, wq, wq_permutation_oracle
 
 
+def _real(value, what: str) -> float:
+    """A finite number from a flag or a config field, else InputError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    x = _real(value, what)
+    if not x.is_integer() or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(x)
+
+
+def _reals(values, what: str, length: int | None = None) -> list[float]:
+    """Finite numbers from a list (a JSON array or a split flag)."""
+    if not isinstance(values, list) or (length is not None and len(values) != length):
+        size = "" if length is None else f"{length} "
+        raise InputError(f"{what} must be a list of {size}numbers, got {values!r}")
+    return [_real(v, what) for v in values]
+
+
+def _points(values, what: str) -> list[tuple[float, float]]:
+    if not isinstance(values, list):
+        raise InputError(f"{what} must be a list of points, got {values!r}")
+    return [tuple(_reals(c, what, length=2)) for c in values]
+
+
+def _section(cfg, key: str) -> dict:
+    value = cfg[key]
+    if not isinstance(value, dict):
+        raise InputError(f"config field {key!r} must be an object, got {value!r}")
+    return value
+
+
 def _parse_exponent(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"exponent must be a number or inf, got {text!r}") from None
+    return _real(text, "exponent (a number or inf)")
 
 
 def _dump_json(payload: dict, out: str | None) -> None:
@@ -77,18 +114,14 @@ def _write_manifest(directory: Path) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_grid(path: str):
-    return gridio.read_grid(path)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_dist(args) -> dict:
-    a = _load_grid(args.grid_a)
-    b = _load_grid(args.grid_b)
+    a = gridio.read_grid(args.grid_a)
+    b = gridio.read_grid(args.grid_b)
     q = _parse_exponent(args.q)
     p = _parse_exponent(args.p)
     val = dqp(a, b, PLMetricParams(q, p))
@@ -103,7 +136,7 @@ def cmd_dist(args) -> dict:
 
 
 def cmd_isop(args) -> dict:
-    g = _load_grid(args.grid)
+    g = gridio.read_grid(args.grid)
     v = isop(g)
     return {
         "value": v.value,
@@ -117,22 +150,30 @@ def cmd_isop(args) -> dict:
 
 def _anchor_from_config(cfg: dict):
     if "grid_file" in cfg:
-        return _load_grid(cfg["grid_file"])
-    grid = cfg["grid"]
-    n = int(grid["n"])
-    extent = float(grid["extent"])
+        if not isinstance(cfg["grid_file"], str):
+            raise InputError(f"anchor grid_file must be a path, got {cfg['grid_file']!r}")
+        return gridio.read_grid(cfg["grid_file"])
+    grid = _section(cfg, "grid")
+    n = _integer(grid["n"], "grid n", least=2)
+    extent = _real(grid["extent"], "grid extent")
     h = extent / n
     spec = GridSpec(2, (n, n), h, (-extent / 2 + h / 2, -extent / 2 + h / 2))
-    guard = float(cfg.get("guard", 1e-3))
+    guard = _real(cfg.get("guard", 1e-3), "anchor guard")
     if cfg["kind"] == "ramp_ball":
-        return make_ramp_ball(spec, tuple(cfg["center"]), cfg["R"], cfg["w"], guard=guard)
+        return make_ramp_ball(
+            spec,
+            tuple(_reals(cfg["center"], "anchor center", length=2)),
+            _real(cfg["R"], "anchor R"),
+            _real(cfg["w"], "anchor w"),
+            guard=guard,
+        )
     if cfg["kind"] == "multiball":
         return make_multiball(
             spec,
-            [tuple(c) for c in cfg["centers"]],
-            cfg["radii"],
-            cfg["weights"],
-            cfg["w"],
+            _points(cfg["centers"], "anchor centers"),
+            _reals(cfg["radii"], "anchor radii"),
+            _reals(cfg["weights"], "anchor weights"),
+            _real(cfg["w"], "anchor w"),
             guard=guard,
         )
     raise InputError(f"unknown anchor kind {cfg.get('kind')!r}")
@@ -142,6 +183,8 @@ def cmd_mms(args) -> dict:
     cfg = json.loads(Path(args.config).read_text()) if Path(args.config).exists() else None
     if cfg is None:
         raise InputError(f"config file not found: {args.config}")
+    if not isinstance(cfg, dict):
+        raise InputError(f"config must be a JSON object, got {cfg!r}")
     # flag overrides for the config fields
     if args.tau is not None:
         cfg["tau"] = args.tau
@@ -151,35 +194,40 @@ def cmd_mms(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.family is not None:
-        cfg.setdefault("family", {})["kind"] = args.family
-    anchor = _anchor_from_config(cfg["anchor"])
-    fam_cfg = cfg["family"]
-    if fam_cfg["kind"] == "radial":
+        cfg.setdefault("family", {})
+    seed = _integer(cfg.get("seed", 0), "seed")
+    anchor = _anchor_from_config(_section(cfg, "anchor"))
+    fam_cfg = _section(cfg, "family")
+    kind = args.family or fam_cfg["kind"]
+    if kind == "radial":
         family = RadialFamily.from_anchor(
             anchor,
-            [tuple(c) for c in fam_cfg["centers"]],
-            fam_cfg["outer_radii"],
-            rings=int(fam_cfg.get("rings", 8)),
-            levels=int(fam_cfg.get("levels", 32)),
+            _points(fam_cfg["centers"], "family centers"),
+            _reals(fam_cfg["outer_radii"], "family outer_radii"),
+            rings=_integer(fam_cfg.get("rings", 8), "family rings", least=1),
+            levels=_integer(fam_cfg.get("levels", 32), "family levels", least=1),
         )
-    elif fam_cfg["kind"] == "grid":
+    elif kind == "grid":
         family = GridSearchFamily(
-            quantum=float(fam_cfg.get("quantum", 1e-3)),
-            budget=int(fam_cfg.get("budget", 200)),
-            coarse_bins=int(fam_cfg.get("coarse_bins", 12)),
+            quantum=_real(fam_cfg.get("quantum", 1e-3), "family quantum"),
+            budget=_integer(fam_cfg.get("budget", 200), "family budget", least=0),
+            coarse_bins=_integer(fam_cfg.get("coarse_bins", 12), "family coarse_bins", least=1),
         )
     else:
-        raise InputError(f"unknown family kind {fam_cfg.get('kind')!r}")
+        raise InputError(f"unknown family kind {kind!r}")
     if "taus" in cfg:
-        partition = StepPartition(tuple(float(t) for t in cfg["taus"]))
+        partition = StepPartition(tuple(_reals(cfg["taus"], "taus")))
     else:
-        partition = StepPartition.uniform(float(cfg["tau"]), int(cfg["steps"]))
+        partition = StepPartition.uniform(
+            _real(cfg["tau"], "tau"), _integer(cfg["steps"], "steps", least=1)
+        )
     prob = ResolventProblem(cfg.get("phi", "isop"), partition.steps[0], anchor, family)
-    sol = run_scheme(anchor, partition, prob, cross_check_every=int(cfg.get("cross_check_every", 0)))
+    every = _integer(cfg.get("cross_check_every", 0), "cross_check_every", least=0)
+    sol = run_scheme(anchor, partition, prob, cross_check_every=every)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger = solution_ledger(sol)
-    ledger["seed"] = int(cfg.get("seed", 0))
+    ledger["seed"] = seed
     (out_dir / "ledger.json").write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
     for k, state in enumerate(sol.states):
         gridio.write_grid(state, out_dir / f"state_{k:04d}.csv")
@@ -188,8 +236,8 @@ def cmd_mms(args) -> dict:
 
 
 def cmd_bb(args) -> dict:
-    a = _load_grid(args.grid_a)
-    b = _load_grid(args.grid_b)
+    a = gridio.read_grid(args.grid_a)
+    b = gridio.read_grid(args.grid_b)
     rep = bb_verify(a, b, steps=args.steps)
     payload = {
         "winf": rep.winf_value,
@@ -212,13 +260,13 @@ def cmd_bb(args) -> dict:
 
 
 def cmd_curve(args) -> dict:
-    g = _load_grid(args.grid)
-    times = [float(t) for t in args.times.split(",")]
+    g = gridio.read_grid(args.grid)
+    times = _reals(args.times.split(","), "--times")
     if args.kind == "translate":
-        V = tuple(float(x) for x in args.param.split(","))
+        V = tuple(_reals(args.param.split(","), "--param"))
         traj = translate_curve(g, V, times)
     elif args.kind == "dilate":
-        traj = dilate_curve(g, float(args.param), times)
+        traj = dilate_curve(g, _real(args.param, "--param"), times)
     else:
         raise InputError(f"unknown curve kind {args.kind!r}")
     out_dir = Path(args.out)

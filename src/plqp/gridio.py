@@ -41,7 +41,7 @@ def write_grid(g: GridDensity, path: str | Path) -> None:
 
 def read_grid(path: str | Path) -> GridDensity:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"grid file not found: {path}")
     text = path.read_text().strip().splitlines()
     if not text:

@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plqp import gridio
+from plqp import cli, gridio
 from plqp.errors import InputError
 from plqp.measures import _int_shift, make_ramp_ball, translate_curve
 
@@ -190,29 +196,45 @@ def test_cli_curve_negative_param(tmp_path, ball_file):
         np.testing.assert_array_equal(state.values, _int_shift(ball.values, 0, -k))
 
 
+RADIAL_CONFIG = {
+    "anchor": {
+        "kind": "multiball",
+        "grid": {"n": 32, "extent": 6.0},
+        "centers": [[-1.4, 0.0], [1.4, 0.0]],
+        "radii": [0.9, 0.9],
+        "weights": [0.75, 0.25],
+        "w": 0.4,
+    },
+    "family": {
+        "kind": "radial",
+        "centers": [[-1.4, 0.0], [1.4, 0.0]],
+        "outer_radii": [1.2, 1.2],
+        "rings": 4,
+        "levels": 8,
+    },
+    "tau": 0.1,
+    "steps": 2,
+    "seed": 0,
+}
+
+GRID_CONFIG = {
+    "anchor": {
+        "kind": "ramp_ball",
+        "grid": {"n": 16, "extent": 4.0},
+        "center": [0.0, 0.0],
+        "R": 1.0,
+        "w": 0.6,
+        "guard": 0.05,
+    },
+    "family": {"kind": "grid", "quantum": 1e-3, "budget": 4, "coarse_bins": 8},
+    "tau": 2.0,
+    "steps": 2,
+}
+
+
 def test_cli_mms_roundtrip(tmp_path):
-    cfg = {
-        "anchor": {
-            "kind": "multiball",
-            "grid": {"n": 32, "extent": 6.0},
-            "centers": [[-1.4, 0.0], [1.4, 0.0]],
-            "radii": [0.9, 0.9],
-            "weights": [0.75, 0.25],
-            "w": 0.4,
-        },
-        "family": {
-            "kind": "radial",
-            "centers": [[-1.4, 0.0], [1.4, 0.0]],
-            "outer_radii": [1.2, 1.2],
-            "rings": 4,
-            "levels": 8,
-        },
-        "tau": 0.1,
-        "steps": 2,
-        "seed": 0,
-    }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(RADIAL_CONFIG))
     out = tmp_path / "mmsout"
     r = run_cli("mms", "--config", str(cfg_path), "--out", str(out))
     assert r.returncode == 0, r.stderr
@@ -224,21 +246,8 @@ def test_cli_mms_roundtrip(tmp_path):
 
 
 def test_cli_mms_grid_family(tmp_path):
-    cfg = {
-        "anchor": {
-            "kind": "ramp_ball",
-            "grid": {"n": 16, "extent": 4.0},
-            "center": [0.0, 0.0],
-            "R": 1.0,
-            "w": 0.6,
-            "guard": 0.05,
-        },
-        "family": {"kind": "grid", "quantum": 1e-3, "budget": 4, "coarse_bins": 8},
-        "tau": 2.0,
-        "steps": 2,
-    }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(GRID_CONFIG))
     out = tmp_path / "mmsout"
     r = run_cli("mms", "--config", str(cfg_path), "--out", str(out))
     assert r.returncode == 0, r.stderr
@@ -267,3 +276,116 @@ def test_cli_oracle():
     payload = json.loads(r.stdout)
     assert payload["pass"] is True
     assert payload["winf_vs_permutation_max_abs"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# malformed values: exit 2 (or a clean 0 / 3), never a traceback
+# ---------------------------------------------------------------------------
+
+
+def run_main(*argv):
+    """cli.main in-process: (exit code, stderr).  An exception escaping
+    main fails the test with its traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:  # argparse usage error
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    spec = square_grid(16, 3.0)
+    for name, center in (("a", (0.0, 0.0)), ("b", (0.375, 0.0))):
+        gridio.write_grid(make_ramp_ball(spec, center, 0.9, 0.5, guard=0.05), base / f"{name}.csv")
+    return base
+
+
+def assert_clean_exit(rc, err, out):
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err
+    if rc != 0:
+        assert not out.exists()
+    shutil.rmtree(out, ignore_errors=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    flag=st.sampled_from(["times", "translate", "dilate", "q", "p"]),
+    value=st.text(alphabet="0123456789.,-+eEinfaxN ", max_size=8),
+)
+def test_cli_malformed_flag_values(fuzz_dir, flag, value):
+    a, b, out = fuzz_dir / "a.csv", fuzz_dir / "b.csv", fuzz_dir / "out"
+    if flag in ("q", "p"):
+        other = "p" if flag == "q" else "q"
+        argv = ["dist", f"--{flag}={value}", f"--{other}=2", str(a), str(b)]
+    else:
+        kind = "dilate" if flag == "dilate" else "translate"
+        param = {"times": "0.05,0", "translate": value, "dilate": value}[flag]
+        times = f"0,{value}" if flag == "times" else "0,0.5"
+        argv = ["curve", "--kind", kind, "--grid", str(a), f"--param={param}",
+                f"--times={times}", "--out", str(out)]
+    assert_clean_exit(*run_main(*argv), out)
+
+
+MALFORMED = ["abc", "", None, [], {}, [1.0, "x"], float("nan"), float("inf"), -float("inf"), 10**400]
+# (config, path to the field, whether the field is an integer)
+CONFIG_FIELDS = [
+    (RADIAL_CONFIG, ("anchor",), False),
+    (RADIAL_CONFIG, ("anchor", "grid"), False),
+    (RADIAL_CONFIG, ("anchor", "grid", "n"), True),
+    (RADIAL_CONFIG, ("anchor", "grid", "extent"), False),
+    (RADIAL_CONFIG, ("anchor", "centers"), False),
+    (RADIAL_CONFIG, ("anchor", "centers", 0), False),
+    (RADIAL_CONFIG, ("anchor", "centers", 1, 0), False),
+    (RADIAL_CONFIG, ("anchor", "radii", 1), False),
+    (RADIAL_CONFIG, ("anchor", "weights"), False),
+    (RADIAL_CONFIG, ("anchor", "w"), False),
+    (RADIAL_CONFIG, ("family",), False),
+    (RADIAL_CONFIG, ("family", "centers", 0, 1), False),
+    (RADIAL_CONFIG, ("family", "outer_radii"), False),
+    (RADIAL_CONFIG, ("family", "rings"), True),
+    (RADIAL_CONFIG, ("family", "levels"), True),
+    (RADIAL_CONFIG, ("tau",), False),
+    (RADIAL_CONFIG, ("taus",), False),
+    (RADIAL_CONFIG, ("steps",), True),
+    (RADIAL_CONFIG, ("seed",), True),
+    (RADIAL_CONFIG, ("cross_check_every",), True),
+    (GRID_CONFIG, ("anchor", "center"), False),
+    (GRID_CONFIG, ("anchor", "center", 1), False),
+    (GRID_CONFIG, ("anchor", "R"), False),
+    (GRID_CONFIG, ("anchor", "guard"), False),
+    (GRID_CONFIG, ("anchor", "grid_file"), False),
+    (GRID_CONFIG, ("family", "quantum"), False),
+    (GRID_CONFIG, ("family", "budget"), True),
+    (GRID_CONFIG, ("family", "coarse_bins"), True),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(field=st.sampled_from(CONFIG_FIELDS), data=st.data())
+def test_cli_mms_malformed_config_values(fuzz_dir, field, data):
+    base, path, integer = field
+    value = data.draw(st.sampled_from(MALFORMED + ([2.5] if integer else [])))
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path, out = fuzz_dir / "cfg.json", fuzz_dir / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
+    assert rc == 2, err
+    assert_clean_exit(rc, err, out)
+
+
+def test_cli_malformed_config_document(fuzz_dir):
+    cfg_path, out = fuzz_dir / "doc.json", fuzz_dir / "out"
+    for doc in ([1, 2], "abc", 3.5, None):
+        cfg_path.write_text(json.dumps(doc))
+        rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
+        assert rc == 2, err
+        assert_clean_exit(rc, err, out)

@@ -162,7 +162,8 @@ def test_optimality_certificate_holds_and_rejects_perturbed_duals():
         b = random_measure(rng, int(rng.integers(1, 30)), box=1.0)
         q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         Cq = _pairwise_distances(a, b) ** q
-        plan, u, v = _solve_lp(Cq, a.weights, b.weights)
+        src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
+        plan, u, v = _solve_lp(Cq.ravel(), src, dst, a.weights, b.weights)
         neg, gap = check_optimality(Cq, plan, u, v, a.weights, b.weights)
         assert max(neg, gap) <= 1e-9 * max(1.0, Cq.max())
         # every row and column carries flow, so raising any one dual by 1e-6
@@ -180,14 +181,91 @@ def test_optimality_certificate_holds_and_rejects_perturbed_duals():
 
 
 def test_wq_raises_when_certificate_fails(monkeypatch):
-    def perturbed(Cq, wa, wb):
-        plan, u, v = _solve_lp(Cq, wa, wb)
+    # 4 x 5 atoms: one LP on all pairs, whose perturbed duals reach the
+    # final certificate unchanged
+    def perturbed(cost, src, dst, wa, wb):
+        plan, u, v = _solve_lp(cost, src, dst, wa, wb)
         return plan, u + 1e-6, v
 
     monkeypatch.setattr(transport, "_solve_lp", perturbed)
     rng = np.random.default_rng(11)
     with pytest.raises(InfeasibleError, match="certificate"):
         wq(random_measure(rng, 4, box=1.0), random_measure(rng, 5, box=1.0), 2.0)
+
+
+def full_edge_cost(mu, nu, q):
+    """W_q from one LP on all m x n pairs: the reference for the multiscale route."""
+    D = _pairwise_distances(mu, nu)
+    Cq = D**q
+    src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
+    plan, _, _ = _solve_lp(Cq.ravel(), src, dst, mu.weights, nu.weights)
+    return float(np.dot(plan.flow, Cq[plan.src, plan.dst])) ** (1 / q)
+
+
+def lattice_shift(k, shift):
+    """Uniform weights on a k x k lattice and on its translate: degenerate."""
+    pts = np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 2)
+    w = np.full(k * k, 1.0 / (k * k))
+    return DiscreteMeasure(pts.astype(float), w), DiscreteMeasure(pts + np.asarray(shift), w)
+
+
+def far_clouds(rng, m, n, dim):
+    # unit boxes 20 apart: every pair costs about the same
+    return random_measure(rng, m, dim, box=1.0), DiscreteMeasure(
+        20.0 + rng.uniform(0, 1, (n, dim)), rng.dirichlet(np.ones(n))
+    )
+
+
+MULTISCALE_CASES = {
+    **{f"lattice_q{q}": (lambda rng: lattice_shift(15, (1.0, 0.0)), q) for q in (1.0, 1.5, 2.0, 3.0)},
+    "far_q1": (lambda rng: far_clouds(rng, 140, 110, 2), 1.0),
+    "far_q2": (lambda rng: far_clouds(rng, 110, 140, 2), 2.0),
+    "line_q1.5": (lambda rng: (random_measure(rng, 240, 1), random_measure(rng, 170, 1)), 1.5),
+    "cube_q2": (lambda rng: (random_measure(rng, 120, 3), random_measure(rng, 150, 3)), 2.0),
+    "few_by_many_q2": (lambda rng: (random_measure(rng, 3, 2), random_measure(rng, 700, 2)), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTISCALE_CASES))
+def test_multiscale_matches_full_edge_lp(case):
+    make, q = MULTISCALE_CASES[case]
+    mu, nu = make(np.random.default_rng(20))
+    assert len(mu) * len(nu) > transport.FULL_EDGE_PAIRS
+    res = wq(mu, nu, q)
+    full = full_edge_cost(mu, nu, q)
+    assert abs(res.cost - full) <= 1e-12 * full
+    st = res.stats
+    assert st.levels >= 1 and len(st.lp_solves) == st.levels + 1
+    assert st.edges <= len(mu) * len(nu)
+    bound = transport.OPTIMALITY_TOL * max(1.0, float((_pairwise_distances(mu, nu) ** q).max()))
+    assert 0.0 <= st.reduced_cost <= bound and 0.0 <= st.gap <= bound
+    if case == "lattice_q1.0":
+        # the degenerate W_1 shift needs pricing rounds beyond the seeded solve
+        assert st.lp_solves[0] >= 2
+
+
+def test_multiscale_is_deterministic():
+    rng = np.random.default_rng(21)
+    mu, nu = random_measure(rng, 160), random_measure(rng, 130)
+    one, two = wq(mu, nu, 2.0), wq(mu, nu, 2.0)
+    assert one.stats.levels >= 1
+    assert one.cost == two.cost and one.stats == two.stats
+    for field in ("src", "dst", "flow"):
+        np.testing.assert_array_equal(getattr(one.plan, field), getattr(two.plan, field))
+
+
+def test_small_instances_solve_on_all_pairs():
+    rng = np.random.default_rng(22)
+    mu, nu = random_measure(rng, 30), random_measure(rng, 40)
+    st = wq(mu, nu, 2.0).stats
+    assert st.lp_solves == (1,) and st.levels == 0 and st.edges == 30 * 40
+
+
+def test_overflowing_exponent_is_input_error():
+    mu = DiscreteMeasure([[0.0]], [1.0])
+    nu = DiscreteMeasure([[10.0]], [1.0])
+    with pytest.raises(InputError, match="overflow"):
+        wq(mu, nu, 1e5)
 
 
 def test_runs_on_numpy_and_scipy_alone():

@@ -34,14 +34,17 @@ from .transport import (
     TransportStats,
     monotone_1d,
     wq,
+    wq_many,
     wq_permutation_oracle,
 )
 from .bottleneck import (
     BottleneckResult,
+    BottleneckStats,
     RadialMeasure,
     neighborhood_check,
     winf,
     winf_grid,
+    winf_many,
     winf_permutation_oracle,
     winf_radial,
 )

@@ -1,6 +1,6 @@
 """Exact bottleneck (infinity-Wasserstein) distance between discrete measures.
 
-The value is found by binary search over the sorted multiset of pairwise
+The value is found by binary search over the sorted distinct pairwise
 distances; feasibility at a candidate threshold eps is decided by an integer
 max-flow on the bipartite graph restricted to edges with d <= eps.  This
 realizes the neighborhood characterization
@@ -8,19 +8,33 @@ realizes the neighborhood characterization
 exactly on finite supports: the returned value is always one of the pairwise
 distances and comes with a feasible witness plan attaining it.
 
-Weights are scaled to integers at 1e9 (the 32-bit max-flow backend wraps
-above 2^31, which rules out the 1e12 scale used elsewhere); the rounding
-slack of a few units of 1e-9 mass is documented and absorbed by downstream
-tolerances.  Equal weights round to equal capacities, so uniform instances
-are solved exactly.  For measures derived from grids, cell-center
-quantization adds at most h*sqrt(n)/2 per measure to the distance.
+`winf_many` searches many instances in lockstep, and `winf` is a batch of
+one.  Each step runs one max-flow on the disjoint union of every unfinished
+instance's threshold graph, each instance at its own midpoint, all sharing
+the source and the sink.  An instance is feasible at its threshold iff the
+flow on its own source edges carries its whole total; the union's flow value
+is never read, since it sums the instances and can exceed 2^31.  Blocks share
+no edge, so each instance is decided exactly as when it runs alone and sees
+the same thresholds; its witness is its block's flow at its last feasible
+step.
+
+Weights are scaled to integers with totals of 1e9 (the 32-bit max-flow
+backend wraps above 2^31).  The capacities then differ from the float
+weights by the amounts bounded in `_scaling.scale_pair`: rounding, sub-unit
+weights raised to one unit, and the units that reconcile the two totals.
+That mass grows with the atom count (4.4e-7 on 1248-atom mollified ramp
+balls), so the witness plan can miss the transport module's MARGINAL_TOL
+against the float weights, and the threshold is exact for the scaled
+weights.  Equal weights round to equal capacities, so uniform instances are
+solved exactly.  For measures derived from grids, cell-center quantization
+adds at most h*sqrt(n)/2 per measure to the distance.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -29,9 +43,14 @@ from scipy.sparse.csgraph import maximum_flow
 from ._scaling import scale_pair
 from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
-from .transport import Coupling, _pairwise_distances
+from .transport import Coupling, _batches, _pairwise_distances
 
 MAX_ATOMS_DEFAULT = 5_000
+# atom pairs (m x n, summed over instances) per lockstep batch of `winf_many`.
+# Random 2D pairs on one core of a 2-vCPU x86_64 VM, one search per pair ->
+# lockstep: 50 pairs of 25 0.146 -> 0.009 s, 20 of 10,000 0.30 -> 0.18 s;
+# 8 of 90,000 took 0.58 s either way, so larger batches only hold more memory.
+LOCKSTEP_PAIRS = 160_000
 
 
 def _max_atoms() -> int:
@@ -43,71 +62,158 @@ def _max_atoms() -> int:
 
 
 @dataclass(frozen=True)
+class BottleneckStats:
+    """What one `winf` search did.
+
+    thresholds: the thresholds whose feasibility it decided, one max-flow
+    step each.  maxflows: the max-flow calls of its lockstep batch, which
+    the instance shared with the batch's other `batch - 1` instances.
+    """
+
+    thresholds: int
+    maxflows: int
+    batch: int
+
+
+@dataclass(frozen=True)
 class BottleneckResult:
     value: float
     witness_plan: Coupling
     threshold_index: int
+    stats: BottleneckStats
     # quantization bound carried by grid-derived inputs (h*sqrt(n)/2 each side)
     quantization_bound: float = 0.0
 
 
-def _feasible_flow(D, a, b, total, eps):
-    """Max-flow restricted to edges d <= eps; returns (feasible, flow matrix)."""
-    m, n = D.shape
-    ii, jj = np.nonzero(D <= eps)
-    if len(ii) == 0:
-        return False, None
-    src = 0
-    sink = m + n + 1
-    rows = np.concatenate([np.zeros(m, int), 1 + ii, 1 + m + np.arange(n)])
-    cols = np.concatenate([1 + np.arange(m), 1 + m + jj, np.full(n, sink)])
-    caps = np.concatenate([a, np.full(len(ii), total, dtype=np.int64), b])
-    graph = sparse.csr_matrix((caps, (rows, cols)), shape=(m + n + 2, m + n + 2))
-    res = maximum_flow(graph, src, sink)
-    if res.flow_value < total:
-        return False, None
-    return True, res.flow[1 : m + 1, m + 1 : m + n + 1]
+class _Search:
+    """Bisection state of one instance over its sorted distinct distances."""
+
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
+        self.D = _pairwise_distances(mu, nu)
+        self.a, self.b, self.total = scale_pair(mu.weights, nu.weights)
+        self.values = np.unique(self.D)
+        self.lo, self.hi = 0, len(self.values) - 1
+        self.witness: Coupling | None = None  # the flow of the last feasible step
+        self.thresholds = 0
+
+
+def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
+    """One max-flow on the disjoint union of the threshold graphs d <= eps[k]
+    of `searches[k]`, sharing the source and the sink.
+
+    Instance k is feasible iff the flow on its own source edges carries its
+    whole total; the flow value sums all instances and is not read (it can
+    exceed 2^31).  A feasible instance keeps its block of the flow as its
+    witness.
+    """
+    first = np.cumsum([1] + [len(s.a) + len(s.b) for s in searches])
+    sink = int(first[-1])
+    # CSR rows in node order: the source, then each instance's first-side
+    # atoms (edges d <= eps) and second-side atoms (one edge to the sink)
+    counts = [[sum(len(s.a) for s in searches)]]
+    indices = [np.arange(f, f + len(s.a)) for s, f in zip(searches, first)]
+    caps = [s.a for s in searches]
+    for s, e, f in zip(searches, eps, first):
+        m, n = len(s.a), len(s.b)
+        near = s.D <= e
+        rows, cols = np.nonzero(near)
+        counts += [np.bincount(rows, minlength=m), np.ones(n, np.int64)]
+        indices += [f + m + cols, np.full(n, sink)]
+        caps += [np.full(len(cols), s.total), s.b]
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts + [[0]]))])
+    # scale_pair totals are about 1e9, so every capacity fits the int32 backend
+    graph = sparse.csr_matrix(
+        (np.concatenate(caps).astype(np.int32), np.concatenate(indices).astype(np.int32),
+         indptr.astype(np.int32)),
+        shape=(sink + 1, sink + 1),
+    )
+    flow = maximum_flow(graph, 0, sink).flow
+    # mass that left the source (row 0) into each instance's first-side atoms
+    end = flow.indptr[1]
+    block = np.searchsorted(first, flow.indices[:end], side="right") - 1
+    sent = np.bincount(block, flow.data[:end], minlength=len(searches))
+    feasible = []
+    for s, f, mass in zip(searches, first, sent):
+        s.thresholds += 1
+        ok = int(mass) == s.total
+        if ok:
+            s.witness = _block_plan(flow, int(f), s)
+        feasible.append(ok)
+    return feasible
+
+
+def _block_plan(flow, f: int, s: _Search) -> Coupling:
+    """The positive flows on the edges between the instance's atoms, whose
+    nodes start at f, as a plan."""
+    m, n = len(s.a), len(s.b)
+    lo, hi = flow.indptr[f], flow.indptr[f + m]
+    row = np.repeat(np.arange(m), np.diff(flow.indptr[f : f + m + 1]))
+    col = flow.indices[lo:hi] - (f + m)
+    data = flow.data[lo:hi]
+    keep = (data > 0) & (col >= 0) & (col < n)
+    return Coupling(row[keep], col[keep], data[keep] / float(s.total), m, n)
+
+
+def _lockstep(searches: list[_Search]) -> int:
+    """Bisect every instance's threshold in lockstep: one union max-flow per
+    step, each instance at its own midpoint.  An instance whose bisection
+    ends with no feasible step takes one more step at its last threshold, the
+    diameter, for a witness.  Returns the number of max-flow calls."""
+    calls = 0
+    pending = list(searches)
+    while pending:
+        mids = [(s.lo + s.hi) // 2 for s in pending]
+        feasible = _union_flow(pending, [s.values[mid] for s, mid in zip(pending, mids)])
+        calls += 1
+        for s, mid, ok in zip(pending, mids, feasible):
+            if ok:
+                s.hi = mid
+            elif s.lo == s.hi:
+                raise InputError("bottleneck instance infeasible at the diameter")
+            else:
+                s.lo = mid + 1
+        pending = [s for s in pending if s.lo < s.hi or s.witness is None]
+    return calls
+
+
+def winf_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]]) -> list[BottleneckResult]:
+    """Exact bottleneck distance with a witness plan for every pair (mu, nu),
+    in order.
+
+    Pairs are packed, in order, into lockstep batches of at most
+    LOCKSTEP_PAIRS pairs of atoms (a larger pair runs alone).  Each instance
+    sees the same thresholds, and so gets the same value and threshold
+    index, as when it runs alone.
+    """
+    cap = _max_atoms()
+    for mu, nu in pairs:
+        if len(mu) > cap or len(nu) > cap:
+            raise InputError(f"instance exceeds PLQP_MAX_ATOMS={cap} atoms per side")
+        if mu.dim != nu.dim:
+            raise InputError("dimension mismatch between measures")
+    out = []
+    for run in _batches([len(mu) * len(nu) for mu, nu in pairs], LOCKSTEP_PAIRS):
+        searches = [_Search(*pairs[k]) for k in run]
+        calls = _lockstep(searches)
+        for k, s in zip(run, searches):
+            # the minimal feasible threshold is attained by the witness support
+            value = s.witness.max_distance(*pairs[k])
+            idx = int(np.searchsorted(s.values, value))
+            stats = BottleneckStats(s.thresholds, calls, len(run))
+            out.append(BottleneckResult(value, s.witness, idx, stats))
+    return out
 
 
 def winf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BottleneckResult:
-    """Exact bottleneck distance with a witness plan."""
-    cap = _max_atoms()
-    if len(mu) > cap or len(nu) > cap:
-        raise InputError(f"instance exceeds PLQP_MAX_ATOMS={cap} atoms per side")
-    D = _pairwise_distances(mu, nu)
-    a, b, total = scale_pair(mu.weights, nu.weights)
-    values = np.unique(D)
-    lo, hi = 0, len(values) - 1
-    flow = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        feasible, f = _feasible_flow(D, a, b, total, values[mid])
-        if feasible:
-            hi = mid
-            flow = f
-        else:
-            lo = mid + 1
-    if flow is None:
-        # every smaller threshold failed: the witness is a flow at the diameter
-        ok, flow = _feasible_flow(D, a, b, total, values[hi])
-        if not ok:
-            raise InputError("bottleneck instance infeasible at the diameter")
-    flow = flow.tocoo()
-    pos = flow.data > 0
-    plan = Coupling(
-        flow.row[pos], flow.col[pos], flow.data[pos] / float(total), len(mu), len(nu)
-    )
-    # the minimal feasible threshold is attained by the witness support
-    value = plan.max_distance(mu, nu)
-    idx = int(np.searchsorted(values, value))
-    return BottleneckResult(value, plan, idx)
+    """Exact bottleneck distance with a witness plan (`winf_many` on one pair)."""
+    return winf_many([(mu, nu)])[0]
 
 
 def winf_grid(f: GridDensity, g: GridDensity) -> BottleneckResult:
     """Bottleneck distance between cell-center atomizations of two densities."""
     res = winf(grid_to_atoms(f), grid_to_atoms(g))
     bound = f.spec.h * np.sqrt(f.spec.dim) / 2 + g.spec.h * np.sqrt(g.spec.dim) / 2
-    return BottleneckResult(res.value, res.witness_plan, res.threshold_index, bound)
+    return replace(res, quantization_bound=bound)
 
 
 def winf_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -8,12 +8,15 @@ Writers emit 17 significant digits so round-trips are bit-exact.
 Trajectories are stored as one grid file per time plus a manifest JSON
 listing times, grid files, and (optionally) velocity-field files; field
 files use the same layout with a #plqp-field header and one signed value
-per component, row-major, components interleaved per cell.
+per component, row-major, components interleaved per cell.  One codec
+writes and reads both kinds; a malformed header, row or value raises
+InputError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -23,76 +26,80 @@ from .errors import InputError
 from .measures import GridDensity, GridSpec, Trajectory, VelocityField
 
 _HEADER_RE = re.compile(
-    r"#plqp-grid v1 dim=(\d+) shape=([\dx]+) h=(\S+) origin=(\S+)\s*$"
+    r"#plqp-(grid|field) v1 dim=(\d+) shape=([\dx]+) h=(\S+) origin=(\S+)\s*$"
 )
+
+
+def _write(kind: str, spec: GridSpec, values: np.ndarray, path: str | Path) -> None:
+    """A plqp-grid or plqp-field file: the header, then one grid row per line."""
+    shape = "x".join(str(s) for s in spec.shape)
+    origin = ",".join(format(x, ".17g") for x in spec.origin)
+    lines = [f"#plqp-{kind} v1 dim={spec.dim} shape={shape} h={spec.h:.17g} origin={origin}"]
+    for row in values.reshape(spec.shape[0], -1):
+        lines.append(",".join(format(v, ".17g") for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _parse_header(kind: str, header: str) -> GridSpec | None:
+    """The spec in a `kind` header line; None if the line is not one."""
+    m = _HEADER_RE.match(header)
+    if not m or m.group(1) != kind:
+        return None
+    try:
+        shape = tuple(int(s) for s in m.group(3).split("x"))
+        h = float(m.group(4))
+        origin = tuple(float(s) for s in m.group(5).split(","))
+    except ValueError:
+        return None
+    if not all(math.isfinite(x) for x in origin):
+        return None
+    return GridSpec(int(m.group(2)), shape, h, origin)
+
+
+def _read(kind: str, path: str | Path) -> tuple[GridSpec, np.ndarray]:
+    """The spec and the values, one row per grid row, of a file written by
+    `_write`; InputError on anything malformed."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"{kind} file not found: {path}")
+    try:
+        text = path.read_text().strip().splitlines()
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not a text file") from None
+    if not text:
+        raise InputError(f"empty {kind} file: {path}")
+    spec = _parse_header(kind, text[0])
+    if spec is None:
+        raise InputError(f"bad plqp-{kind} header in {path}: {text[0]!r}")
+    lines = [line for line in text[1:] if line.strip()]
+    if len(lines) != spec.shape[0]:
+        raise InputError(f"{path}: expected {spec.shape[0]} rows, found {len(lines)}")
+    rows = [line.split(",") for line in lines]
+    width = math.prod(spec.shape[1:]) * (spec.dim if kind == "field" else 1)
+    if any(len(row) != width for row in rows):
+        raise InputError(f"{path}: every row must hold {width} values")
+    try:
+        return spec, np.array(rows, dtype=float)
+    except ValueError:
+        raise InputError(f"{path}: values must be numbers") from None
 
 
 def write_grid(g: GridDensity, path: str | Path) -> None:
-    path = Path(path)
-    spec = g.spec
-    shape = "x".join(str(s) for s in spec.shape)
-    origin = ",".join(format(x, ".17g") for x in spec.origin)
-    lines = [f"#plqp-grid v1 dim={spec.dim} shape={shape} h={spec.h:.17g} origin={origin}"]
-    vals = g.values.reshape(spec.shape[0], -1)
-    for row in vals:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write("grid", g.spec, g.values, path)
 
 
 def read_grid(path: str | Path) -> GridDensity:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"grid file not found: {path}")
-    text = path.read_text().strip().splitlines()
-    if not text:
-        raise InputError(f"empty grid file: {path}")
-    m = _HEADER_RE.match(text[0])
-    if not m:
-        raise InputError(f"bad plqp-grid header in {path}: {text[0]!r}")
-    dim = int(m.group(1))
-    shape = tuple(int(s) for s in m.group(2).split("x"))
-    h = float(m.group(3))
-    origin = tuple(float(s) for s in m.group(4).split(","))
-    spec = GridSpec(dim, shape, h, origin)
-    rows = [
-        np.array([float(tok) for tok in line.split(",")]) for line in text[1:] if line.strip()
-    ]
-    if len(rows) != shape[0]:
-        raise InputError(f"{path}: expected {shape[0]} rows, found {len(rows)}")
-    vals = np.vstack(rows).reshape(shape)
-    return GridDensity(spec, vals)
-
-
-_FIELD_HEADER_RE = re.compile(
-    r"#plqp-field v1 dim=(\d+) shape=([\dx]+) h=(\S+) origin=(\S+)\s*$"
-)
+    spec, rows = _read("grid", path)
+    return GridDensity(spec, rows.reshape(spec.shape))
 
 
 def write_field_snapshot(spec: GridSpec, vectors: np.ndarray, path: str | Path) -> None:
-    path = Path(path)
-    shape = "x".join(str(s) for s in spec.shape)
-    origin = ",".join(format(x, ".17g") for x in spec.origin)
-    lines = [f"#plqp-field v1 dim={spec.dim} shape={shape} h={spec.h:.17g} origin={origin}"]
-    flat = vectors.reshape(spec.shape[0], -1)
-    for row in flat:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write("field", spec, vectors, path)
 
 
 def read_field_snapshot(path: str | Path) -> tuple[GridSpec, np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"field file not found: {path}")
-    text = path.read_text().strip().splitlines()
-    m = _FIELD_HEADER_RE.match(text[0]) if text else None
-    if not m:
-        raise InputError(f"bad plqp-field header in {path}")
-    dim = int(m.group(1))
-    shape = tuple(int(s) for s in m.group(2).split("x"))
-    spec = GridSpec(dim, shape, float(m.group(3)), tuple(float(s) for s in m.group(4).split(",")))
-    rows = [np.array([float(tok) for tok in line.split(",")]) for line in text[1:] if line.strip()]
-    vectors = np.vstack(rows).reshape(*shape, dim)
-    return spec, vectors
+    spec, rows = _read("field", path)
+    return spec, rows.reshape(*spec.shape, spec.dim)
 
 
 def save_trajectory(traj: Trajectory, directory: str | Path, stem: str = "state") -> Path:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from plqp import bottleneck
+from plqp._scaling import scale_pair
 from plqp.bottleneck import (
     RadialMeasure,
     neighborhood_check,
@@ -10,6 +12,7 @@ from plqp.bottleneck import (
     radial_reference,
     winf,
     winf_grid,
+    winf_many,
     winf_permutation_oracle,
     winf_radial,
 )
@@ -95,6 +98,43 @@ def test_witness_attains_value_exactly():
         assert values[res.threshold_index] == res.value
         # marginals match up to the documented 1e-9 scaling slack
         assert res.witness_plan.check_marginals(a, b, tol=2e-9) <= 2e-9
+
+
+def test_winf_many_matches_singleton_winf():
+    rng = np.random.default_rng(106)
+    pairs = []
+    for k in range(30):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        if k % 3 == 0:
+            n = m
+            a, b = uniform_pair(rng, m)
+        else:
+            a = DiscreteMeasure(rng.uniform(0, 10, (m, 2)), rng.dirichlet(np.ones(m)))
+            b = DiscreteMeasure(rng.uniform(0, 10, (n, 2)), rng.dirichlet(np.ones(n)))
+        pairs.append((a, b))
+    # the union's total flow exceeds 2^31: no instance may read it
+    assert sum(scale_pair(a.weights, b.weights)[2] for a, b in pairs) > 2**31
+    many = winf_many(pairs)
+    for (a, b), res in zip(pairs, many):
+        one = winf(a, b)
+        assert res.value == one.value
+        assert res.threshold_index == one.threshold_index
+        assert res.witness_plan.max_distance(a, b) == one.witness_plan.max_distance(a, b)
+        assert res.witness_plan.check_marginals(a, b, tol=2e-9) <= 2e-9
+        assert one.stats.batch == 1 and one.stats.maxflows == one.stats.thresholds
+        assert res.stats.thresholds == one.stats.thresholds
+        assert res.stats.batch == len(pairs)
+    # lockstep: the batch ran as many max-flows as its longest search
+    assert many[0].stats.maxflows == max(r.stats.thresholds for r in many)
+
+
+def test_winf_many_batches_by_pair_count(monkeypatch):
+    rng = np.random.default_rng(107)
+    pairs = [uniform_pair(rng, 4) for _ in range(5)]
+    monkeypatch.setattr(bottleneck, "LOCKSTEP_PAIRS", 40)
+    many = winf_many(pairs)
+    assert [r.stats.batch for r in many] == [2, 2, 2, 2, 1]
+    assert [r.value for r in many] == [winf(a, b).value for a, b in pairs]
 
 
 def test_winf_dominates_finite_q():

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -58,6 +59,51 @@ def test_grid_read_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not a header\n1,2\n")
     with pytest.raises(InputError, match="header"):
+        gridio.read_grid(bad)
+
+
+def test_grid_and_field_writers_share_one_layout(tmp_path):
+    spec = square_grid(6, 1.5)
+    vectors = np.arange(6 * 6 * 2, dtype=float).reshape(6, 6, 2) / 7
+    gridio.write_field_snapshot(spec, vectors, tmp_path / "f.csv")
+    text = (tmp_path / "f.csv").read_text()
+    assert text.startswith("#plqp-field v1 dim=2 shape=6x6 h=0.25 origin=-0.625,-0.625\n")
+    assert text.splitlines()[1] == ",".join(format(v, ".17g") for v in vectors[0].ravel())
+    back_spec, back = gridio.read_field_snapshot(tmp_path / "f.csv")
+    assert back_spec == spec
+    np.testing.assert_array_equal(back, vectors)
+    # each reader accepts only its own header
+    with pytest.raises(InputError, match="plqp-grid header"):
+        gridio.read_grid(tmp_path / "f.csv")
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda lines: [lines[0].replace("h=0.0625", "h=abc")] + lines[1:], "header"),
+        (lambda lines: [lines[0].replace("shape=48x48", "shape=48x")] + lines[1:], "header"),
+        (lambda lines: [lines[0].replace("origin=", "origin=nan,")] + lines[1:], "header"),
+        (lambda lines: lines[:3] + ["xyz," + lines[3].split(",", 1)[1]] + lines[4:], "numbers"),
+        (lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:], "values"),
+        (lambda lines: lines[:-1], "rows"),
+    ],
+    ids=["h", "shape", "origin", "value", "row_width", "row_count"],
+)
+def test_grid_read_malformed_is_input_error(tmp_path, ball_file, edit, match):
+    path, _ = ball_file
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(InputError, match=match):
+        gridio.read_grid(bad)
+    r = run_cli("dist", str(bad), str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
+def test_grid_read_binary_is_input_error(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"#plqp-grid v1 \xff\xfe\n")
+    with pytest.raises(InputError, match="text"):
         gridio.read_grid(bad)
 
 
@@ -389,3 +435,51 @@ def test_cli_malformed_config_document(fuzz_dir):
         rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
         assert rc == 2, err
         assert_clean_exit(rc, err, out)
+
+
+GRID_PARTS = ["dim", "shape", "h", "origin", "value", "row"]
+
+
+def mangle(text: str, part: str, junk: str) -> str:
+    """`text` (a grid or field file) with one header field, one value or one
+    row replaced by `junk`."""
+    lines = text.splitlines()
+    if part == "value":
+        row = lines[5].split(",")
+        row[3] = junk
+        lines[5] = ",".join(row)
+    elif part == "row":
+        lines[5] = junk
+    else:
+        lines[0] = re.sub(rf"{part}=\S+", lambda _: f"{part}={junk}", lines[0])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(part=st.sampled_from(GRID_PARTS), junk=st.text(alphabet="0123456789.,-+eEinfaxN ", max_size=8))
+def test_cli_malformed_grid_files(fuzz_dir, part, junk):
+    bad, b, out = fuzz_dir / "bad.csv", fuzz_dir / "b.csv", fuzz_dir / "out"
+    bad.write_text(mangle((fuzz_dir / "a.csv").read_text(), part, junk))
+    assert_clean_exit(*run_main("dist", str(bad), str(b)), out)
+    assert_clean_exit(*run_main("isop", str(bad)), out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_trajectory(fuzz_dir):
+    out = fuzz_dir / "traj"
+    rc, err = run_main("curve", "--kind", "translate", "--grid", str(fuzz_dir / "a.csv"),
+                       "--param=0.1875,0", "--times=0,1,2", "--out", str(out))
+    assert rc == 0, err
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(part=st.sampled_from(GRID_PARTS), junk=st.text(alphabet="0123456789.,-+eEinfaxN ", max_size=8))
+def test_cli_malformed_field_files(fuzz_trajectory, part, junk):
+    copy_dir = fuzz_trajectory.parent / "traj_bad"
+    shutil.rmtree(copy_dir, ignore_errors=True)
+    shutil.copytree(fuzz_trajectory, copy_dir)
+    field = copy_dir / "curve_field_0001.csv"
+    field.write_text(mangle(field.read_text(), part, junk))
+    rc, err = run_main("reconstruct", "--manifest", str(copy_dir / "curve_manifest.json"))
+    assert_clean_exit(rc, err, fuzz_trajectory.parent / "out")

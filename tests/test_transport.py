@@ -20,6 +20,7 @@ from plqp.transport import (
     check_optimality,
     monotone_1d,
     wq,
+    wq_many,
     wq_permutation_oracle,
 )
 
@@ -193,6 +194,78 @@ def test_wq_raises_when_certificate_fails(monkeypatch):
         wq(random_measure(rng, 4, box=1.0), random_measure(rng, 5, box=1.0), 2.0)
 
 
+def batch_pairs(rng, count, dim, sizes=(1, 31)):
+    """Random pairs with m != n mostly, uniform weights every fourth pair."""
+    pairs = []
+    for k in range(count):
+        m, n = (int(x) for x in rng.integers(*sizes, 2))
+        a, b = random_measure(rng, m, dim), random_measure(rng, n, dim)
+        if k % 4 == 0:
+            a = DiscreteMeasure(a.points, np.full(m, 1.0 / m))
+            b = DiscreteMeasure(b.points, np.full(n, 1.0 / n))
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("dim, q", [(2, 2.0), (1, 1.5)])
+def test_wq_many_matches_singleton_wq(monkeypatch, dim, q):
+    rng = np.random.default_rng(23)
+    pairs = batch_pairs(rng, 40, dim)
+    # one pair above FULL_EDGE_PAIRS takes the multiscale route in the same call
+    pairs.insert(17, (random_measure(rng, 50, dim), random_measure(rng, 45, dim)))
+    edges = []
+
+    def spy(cost, src, dst, wa, wb):
+        edges.append(len(src))
+        return _solve_lp(cost, src, dst, wa, wb)
+
+    monkeypatch.setattr(transport, "_solve_lp", spy)
+    many = wq_many(pairs, q)
+    assert max(edges) <= transport.BATCH_EDGES
+    small = [r for (a, b), r in zip(pairs, many) if len(a) * len(b) <= transport.FULL_EDGE_PAIRS]
+    # each LP of b pairs gives b results with batch = b: the edge cap split
+    # the small pairs into several block LPs of several pairs each
+    assert sum(1 / r.stats.batch for r in small) >= 2
+    assert min(r.stats.batch for r in small) > 1
+    assert many[17].stats.batch == 1 and many[17].stats.levels >= 1
+    for (a, b), res in zip(pairs, many):
+        one = wq(a, b, q)
+        assert abs(res.cost - one.cost) <= 1e-15 * one.cost
+        assert res.plan.check_marginals(a, b) <= TOL
+        bound = transport.OPTIMALITY_TOL * max(1.0, float((_pairwise_distances(a, b) ** q).max()))
+        assert 0.0 <= res.stats.reduced_cost <= bound and 0.0 <= res.stats.gap <= bound
+
+
+def test_wq_many_certifies_each_block(monkeypatch):
+    rng = np.random.default_rng(24)
+    pairs = [(random_measure(rng, m, box=1.0), random_measure(rng, m + 1, box=1.0)) for m in (3, 4, 5, 6)]
+    rows = np.cumsum([0] + [len(a) for a, _ in pairs])
+
+    def perturbed(cost, src, dst, wa, wb):
+        # raise the supply duals of the third block only
+        plan, u, v = _solve_lp(cost, src, dst, wa, wb)
+        u = u.copy()
+        u[rows[2] : rows[3]] += 1e-6
+        return plan, u, v
+
+    assert {r.stats.batch for r in wq_many(pairs, 2.0)} == {4}
+    monkeypatch.setattr(transport, "_solve_lp", perturbed)
+    with pytest.raises(InfeasibleError, match="certificate"):
+        wq_many(pairs, 2.0)
+
+
+def test_wq_many_checks_every_pair():
+    rng = np.random.default_rng(25)
+    good = (random_measure(rng, 3), random_measure(rng, 4))
+    flat = (random_measure(rng, 3, dim=1), random_measure(rng, 4))
+    with pytest.raises(InputError, match="dimension"):
+        wq_many([good, flat], 2.0)
+    far = (DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[10.0]], [1.0]))
+    with pytest.raises(InputError, match="overflow"):
+        wq_many([good, far], 1e5)
+    assert wq_many([], 2.0) == []
+
+
 def full_edge_cost(mu, nu, q):
     """W_q from one LP on all m x n pairs: the reference for the multiscale route."""
     D = _pairwise_distances(mu, nu)
@@ -258,7 +331,7 @@ def test_small_instances_solve_on_all_pairs():
     rng = np.random.default_rng(22)
     mu, nu = random_measure(rng, 30), random_measure(rng, 40)
     st = wq(mu, nu, 2.0).stats
-    assert st.lp_solves == (1,) and st.levels == 0 and st.edges == 30 * 40
+    assert st.lp_solves == (1,) and st.levels == 0 and st.edges == 30 * 40 and st.batch == 1
 
 
 def test_overflowing_exponent_is_input_error():

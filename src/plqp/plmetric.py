@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import winf, winf_many
+from .bottleneck import winf
 from .errors import InputError
 from .measures import GridDensity, Trajectory, grid_to_atoms
-from .transport import wq, wq_many
+from .transport import wq
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,6 @@ def lp_norm_diff(f: GridDensity, g: GridDensity, p: float) -> float:
     return float((diff**p).sum() * f.spec.cell_volume) ** (1.0 / p)
 
 
-def _canonical(f: GridDensity, g: GridDensity) -> tuple[GridDensity, GridDensity]:
-    """The pair in the order its transport part is solved in."""
-    return (g, f) if g.values.tobytes() < f.values.tobytes() else (f, g)
-
-
 def dqp(f: GridDensity, g: GridDensity, params: PLMetricParams) -> DqpValue:
     """Composite distance with its transport/L^p breakdown.
 
@@ -68,7 +63,8 @@ def dqp(f: GridDensity, g: GridDensity, params: PLMetricParams) -> DqpValue:
     if f.spec != g.spec:
         raise InputError("grid spec mismatch")
     lp = lp_norm_diff(f, g, params.p)
-    f, g = _canonical(f, g)
+    if g.values.tobytes() < f.values.tobytes():
+        f, g = g, f
     if math.isinf(params.q):
         w = winf(grid_to_atoms(f), grid_to_atoms(g)).value
     else:
@@ -94,14 +90,14 @@ def metric_derivative(traj: Trajectory, params: PLMetricParams) -> DerivativeEst
         raise InputError("need at least 3 time samples")
     t = np.asarray(traj.times)
     m = len(t)
-    ends = [(0, 1) if k == 0 else (m - 2, m - 1) if k == m - 1 else (k - 1, k + 1) for k in range(m)]
-    pairs = [_canonical(traj.densities[i], traj.densities[j]) for i, j in ends]
-    atoms = [(grid_to_atoms(f), grid_to_atoms(g)) for f, g in pairs]
-    # the samples' transport parts are independent: solve them in one batch
-    if math.isinf(params.q):
-        w = np.array([r.value for r in winf_many(atoms)])
-    else:
-        w = np.array([r.cost for r in wq_many(atoms, params.q)])
-    lp = np.array([lp_norm_diff(f, g, params.p) for f, g in pairs])
-    dt = np.array([t[j] - t[i] for i, j in ends])
-    return DerivativeEstimate(t, (w + lp) / dt, w / dt, lp / dt)
+    quot = np.zeros(m)
+    wc = np.zeros(m)
+    lc = np.zeros(m)
+    for k in range(m):
+        i, j = (0, 1) if k == 0 else (m - 2, m - 1) if k == m - 1 else (k - 1, k + 1)
+        val = dqp(traj.densities[i], traj.densities[j], params)
+        dt = t[j] - t[i]
+        quot[k] = val.total / dt
+        wc[k] = val.w_part / dt
+        lc[k] = val.lp_part / dt
+    return DerivativeEstimate(t, quot, wc, lc)

@@ -168,6 +168,43 @@ def _solve_lp(
     return Coupling(src[keep], dst[keep], x[keep], m, n), duals[:m], duals[m:]
 
 
+def _solve_blocks(
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> list[tuple[Coupling, np.ndarray, np.ndarray]]:
+    """One LP for independent instances (Cq, wa, wb) on all their pairs: the
+    instances are the diagonal blocks, each on its own rows and columns.
+    Returns each block's plan and duals."""
+    rows = np.cumsum([0] + [len(wa) for _, wa, _ in blocks])
+    cols = np.cumsum([0] + [len(wb) for _, _, wb in blocks])
+    src = np.concatenate([np.repeat(np.arange(r, r + len(wa)), len(wb))
+                          for r, (_, wa, wb) in zip(rows, blocks)])
+    dst = np.concatenate([np.tile(np.arange(c, c + len(wb)), len(wa))
+                          for c, (_, wa, wb) in zip(cols, blocks)])
+    plan, u, v = _solve_lp(
+        np.concatenate([Cq.ravel() for Cq, _, _ in blocks]),
+        src,
+        dst,
+        np.concatenate([wa for _, wa, _ in blocks]),
+        np.concatenate([wb for _, _, wb in blocks]),
+    )
+    # the plan keeps the edge order, so each block's entries are contiguous
+    cut = np.searchsorted(plan.src, rows)
+    return [
+        (
+            Coupling(
+                plan.src[cut[k] : cut[k + 1]] - rows[k],
+                plan.dst[cut[k] : cut[k + 1]] - cols[k],
+                plan.flow[cut[k] : cut[k + 1]],
+                len(wa),
+                len(wb),
+            ),
+            u[rows[k] : rows[k + 1]],
+            v[cols[k] : cols[k + 1]],
+        )
+        for k, (_, wa, wb) in enumerate(blocks)
+    ]
+
+
 def _cells(pa: np.ndarray, pb: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
     """The cell of every atom of pa and of pb, numbered per side, on one box
     lattice with at most `target` occupied cells on either side."""
@@ -222,15 +259,13 @@ def _transport(
     """
     m, n = Cq.shape
     if m * n <= FULL_EDGE_PAIRS:
-        edges = np.ones((m, n), dtype=bool)
-        solves: tuple[int, ...] = ()
-    else:
-        ca, cb = _cells(pa, pb, max(m, n) // COARSE_RATIO)
-        (qa, ma), (qb, mb) = _pool(ca, pa, wa), _pool(cb, pb, wb)
-        cplan, cu, cv, solves, _ = _transport(_distances(qa, qb) ** q, qa, ma, qb, mb, q)
-        support = np.zeros((len(qa), len(qb)), dtype=bool)
-        support[cplan.src, cplan.dst] = True
-        edges = support[ca][:, cb] | _cheapest(Cq - cu[ca][:, None] - cv[cb][None, :], LINE_EDGES)
+        return (*_solve_blocks([(Cq, wa, wb)])[0], (1,), m * n)
+    ca, cb = _cells(pa, pb, max(m, n) // COARSE_RATIO)
+    (qa, ma), (qb, mb) = _pool(ca, pa, wa), _pool(cb, pb, wb)
+    cplan, cu, cv, solves, _ = _transport(_distances(qa, qb) ** q, qa, ma, qb, mb, q)
+    support = np.zeros((len(qa), len(qb)), dtype=bool)
+    support[cplan.src, cplan.dst] = True
+    edges = support[ca][:, cb] | _cheapest(Cq - cu[ca][:, None] - cv[cb][None, :], LINE_EDGES)
     bound = _certificate_bound(Cq)
     rounds = 0
     while True:
@@ -283,43 +318,6 @@ def _batches(sizes: list[int], cap: int) -> list[list[int]]:
             runs.append([k])
             room = cap - size
     return runs
-
-
-def _solve_blocks(
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> list[tuple[Coupling, np.ndarray, np.ndarray]]:
-    """One LP for independent instances (Cq, wa, wb) on all their pairs: the
-    instances are the diagonal blocks, each on its own rows and columns.
-    Returns each block's plan and duals."""
-    rows = np.cumsum([0] + [len(wa) for _, wa, _ in blocks])
-    cols = np.cumsum([0] + [len(wb) for _, _, wb in blocks])
-    src = np.concatenate([np.repeat(np.arange(r, r + len(wa)), len(wb))
-                          for r, (_, wa, wb) in zip(rows, blocks)])
-    dst = np.concatenate([np.tile(np.arange(c, c + len(wb)), len(wa))
-                          for c, (_, wa, wb) in zip(cols, blocks)])
-    plan, u, v = _solve_lp(
-        np.concatenate([Cq.ravel() for Cq, _, _ in blocks]),
-        src,
-        dst,
-        np.concatenate([wa for _, wa, _ in blocks]),
-        np.concatenate([wb for _, _, wb in blocks]),
-    )
-    # the plan keeps the edge order, so each block's entries are contiguous
-    cut = np.searchsorted(plan.src, rows)
-    return [
-        (
-            Coupling(
-                plan.src[cut[k] : cut[k + 1]] - rows[k],
-                plan.dst[cut[k] : cut[k + 1]] - cols[k],
-                plan.flow[cut[k] : cut[k + 1]],
-                len(wa),
-                len(wb),
-            ),
-            u[rows[k] : rows[k + 1]],
-            v[cols[k] : cols[k + 1]],
-        )
-        for k, (_, wa, wb) in enumerate(blocks)
-    ]
 
 
 def _costs(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plqp.errors import InputError
-from plqp.measures import GridDensity, Trajectory, grid_to_atoms, make_ramp_ball, translate_curve
+from plqp.measures import GridDensity, grid_to_atoms, make_ramp_ball, translate_curve
 from plqp.plmetric import (
     PLMetricParams,
     dqp,
@@ -194,32 +194,3 @@ def test_metric_derivative_decomposes():
     # the transport component of a rigid translation is exactly |V| at
     # integer shifts
     assert est.w_component[1] == pytest.approx(2 * spec.h, abs=TOL)
-
-
-def dqp_loop(traj, params):
-    """Per-sample reference for metric_derivative: one dqp per time."""
-    t, m = traj.times, len(traj)
-    rows = []
-    for k in range(m):
-        i, j = (0, 1) if k == 0 else (m - 2, m - 1) if k == m - 1 else (k - 1, k + 1)
-        val = dqp(traj.densities[i], traj.densities[j], params)
-        dt = t[j] - t[i]
-        rows.append((val.total / dt, val.w_part / dt, val.lp_part / dt))
-    return np.array(rows).T
-
-
-@pytest.mark.parametrize("n", [10, 16])
-@pytest.mark.parametrize("q, p", [(math.inf, math.inf), (2.0, 2.0), (1.5, math.inf)])
-def test_metric_derivative_equals_per_sample_dqp(n, q, p):
-    # 10^2 grids keep every sample pair on shared block LPs; 16^2 grids put
-    # them above FULL_EDGE_PAIRS, on the multiscale route
-    rng = np.random.default_rng(40 + n)
-    spec = square_grid(n, 2.0)
-    traj = Trajectory((0.0, 0.3, 0.5, 1.1, 1.2), tuple(random_blob(rng, spec) for _ in range(5)))
-    est = metric_derivative(traj, PLMetricParams(q, p))
-    want = dqp_loop(traj, PLMetricParams(q, p))
-    got = np.array([est.quotient, est.w_component, est.lp_component])
-    if math.isinf(q):
-        np.testing.assert_array_equal(got, want)
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

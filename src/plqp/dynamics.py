@@ -148,7 +148,17 @@ def _support_compatible(f0: np.ndarray, f1: np.ndarray) -> bool:
 
 
 def _solve_interval(spec, f0, f1, dt, norm):
-    """Minimal-norm momentum on faces with div m = (f0 - f1)/dt."""
+    """Minimal-norm momentum on faces with div m = (f0 - f1)/dt.
+
+    With norm='linf' the face bound of phase 1 is an LP optimum value and
+    does not depend on the solver.  Phase 2 (least total |m| under that
+    bound) has many optimal vertices, and the reported cell sup-norm depends
+    on which one HiGHS returns.  On the 96^2 ramp ball translated at speed
+    0.25 of `test_reconstruct_translation_sup_norm_and_direction`, every
+    interval has face norm 0.258887 either way, but a cell sup-norm of
+    0.2658 with presolve on (the default used here) and 0.2767 with presolve
+    off, above that test's bound of 0.275.
+    """
     rhs = (f0 - f1).ravel() / dt
     if abs(rhs.sum() * spec.cell_volume) > 1e-9:
         raise InfeasibleError("mass mismatch between consecutive densities")

@@ -124,25 +124,48 @@ def save_trajectory(traj: Trajectory, directory: str | Path, stem: str = "state"
     return mpath
 
 
+def _manifest_files(manifest: dict, key: str, file_key: str, path: Path) -> list[tuple[float, Path]]:
+    """(time, file path) of each entry of the manifest list `key`;
+    InputError on anything malformed."""
+    entries = manifest.get(key)
+    if not isinstance(entries, list):
+        raise InputError(f"{path}: {key!r} must be a list, got {entries!r}")
+    files = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InputError(f"{path}: each {key!r} entry must be an object, got {entry!r}")
+        t, name = entry.get("time"), entry.get(file_key)
+        try:
+            # JSON numbers only; float() of a huge integer overflows
+            ok = isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise InputError(f"{path}: {key!r} time must be a finite number, got {t!r}")
+        if not isinstance(name, str) or not name:
+            raise InputError(f"{path}: {key!r} {file_key!r} must be a file name, got {name!r}")
+        files.append((float(t), path.parent / name))
+    return files
+
+
 def load_trajectory(manifest_path: str | Path) -> Trajectory:
+    """The trajectory a manifest written by `save_trajectory` lists;
+    InputError on a malformed manifest or file."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise InputError(f"manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "plqp-trajectory/v1":
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise InputError(f"{manifest_path} is not a JSON document") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "plqp-trajectory/v1":
         raise InputError(f"not a trajectory manifest: {manifest_path}")
-    base = manifest_path.parent
-    times = []
-    densities = []
-    for entry in manifest["states"]:
-        times.append(float(entry["time"]))
-        densities.append(read_grid(base / entry["grid"]))
+    states = _manifest_files(manifest, "states", "grid", manifest_path)
+    densities = tuple(read_grid(f) for _, f in states)
     field = None
     if "fields" in manifest:
-        ftimes, vectors = [], []
-        for entry in manifest["fields"]:
-            ftimes.append(float(entry["time"]))
-            _, vec = read_field_snapshot(base / entry["field"])
-            vectors.append(vec)
-        field = VelocityField(tuple(ftimes), tuple(vectors))
-    return Trajectory(tuple(times), tuple(densities), field)
+        fields = _manifest_files(manifest, "fields", "field", manifest_path)
+        field = VelocityField(
+            tuple(t for t, _ in fields), tuple(read_field_snapshot(f)[1] for _, f in fields)
+        )
+    return Trajectory(tuple(t for t, _ in states), densities, field)

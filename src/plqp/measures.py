@@ -257,6 +257,18 @@ def grid_to_atoms(g: GridDensity) -> DiscreteMeasure:
     return DiscreteMeasure(centers, weights / weights.sum())
 
 
+def coarse_lattice(points: np.ndarray, spec: GridSpec, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bins^n lattice over the grid box: the flat (row-major) index of the
+    bin holding each point, and the centers of all bins in flat order."""
+    lo = np.asarray(spec.origin) - spec.h / 2
+    extent = spec.h * np.asarray(spec.shape)
+    cell = extent / bins
+    idx = np.clip(((points - lo) / cell).astype(int), 0, bins - 1)
+    flat = np.ravel_multi_index(tuple(idx.T), (bins,) * spec.dim)
+    centers = np.stack(np.unravel_index(np.arange(bins**spec.dim), (bins,) * spec.dim), axis=1)
+    return flat, lo + (centers + 0.5) * cell
+
+
 def coarse_measure(
     points: np.ndarray, weights: np.ndarray, spec: GridSpec, bins: int
 ) -> DiscreteMeasure:
@@ -265,16 +277,10 @@ def coarse_measure(
     Used to keep exact transport solves affordable on large clouds; the
     sub-sampling factor is bins relative to the grid shape.
     """
-    lo = np.asarray(spec.origin) - spec.h / 2
-    extent = spec.h * np.asarray(spec.shape)
-    cell = extent / bins
-    idx = np.clip(((points - lo) / cell).astype(int), 0, bins - 1)
-    flat = np.ravel_multi_index(tuple(idx.T), (bins,) * spec.dim)
+    flat, centers = coarse_lattice(points, spec, bins)
     mass = np.bincount(flat, weights=weights, minlength=bins**spec.dim)
     occupied = np.nonzero(mass > 0)[0]
-    centers = np.stack(np.unravel_index(occupied, (bins,) * spec.dim), axis=1)
-    centers = lo + (centers + 0.5) * cell
-    return DiscreteMeasure(centers, mass[occupied] / mass[occupied].sum())
+    return DiscreteMeasure(centers[occupied], mass[occupied] / mass[occupied].sum())
 
 
 def ramp_profile(r: np.ndarray, R: float, w: float) -> np.ndarray:

@@ -14,12 +14,20 @@ reports family-relative minimality only:
   with periodic cross-checks against the grid bottleneck.  A sweep scores
   all moves of one component at once: row sums for the closed forms and one
   batched quantile-gap kernel against the anchor's cumulative weights; the
-  components that did not move contribute constants.
+  components that did not move contribute constants.  A component's moves
+  and their scores are computed once per distinct height profile in one
+  resolvent call, so a sweep re-scores only the component that last moved.
 * Grid local search: greedy first-improvement descent over quantum mass
   transfers between adjacent cells; the transport part of the distance is
   evaluated on coarse-binned atoms (sub-sampling factor recorded).  Within
   one resolvent call each distinct coarse pair is solved once, keyed on what
-  the bottleneck solver reads, so a reused value equals a fresh solve.
+  the bottleneck solver reads, so a reused value equals a fresh solve.  The
+  key is built from the cell values and each cell's precomputed coarse bin,
+  with the float operations of the coarse measure, so it is bit-identical
+  to binning the state's atoms; no measure is built for a reused pair.
+
+Every reuse returns what a fresh computation returns, bit for bit, so the
+outputs do not depend on it.
 
 The anchor is always candidate 0, so Phi(out) <= phi(anchor) holds by
 construction, and so do the telescoped dissipation inequalities.
@@ -42,6 +50,7 @@ from .measures import (
     DiscreteMeasure,
     GridDensity,
     GridSpec,
+    coarse_lattice,
     coarse_measure,
     grid_to_atoms,
     normalized_density,
@@ -49,6 +58,14 @@ from .measures import (
 from .plmetric import PLMetricParams, lp_norm_diff
 
 SUBRINGS = 32  # sub-ring resolution used for the radial bottleneck
+# Largest grid the grid-family search accepts, set so that one scan of the
+# candidates stays within about 5 s.  A scan tries up to 4 moves per cell,
+# and a step rescans after each accepted move.  A scan that accepted no move
+# (ramp ball, quantum 1e-3, 8 coarse bins, one core of a 2-vCPU x86_64 VM)
+# took 0.28 s at 32^2 cells (688 candidates), 0.47 s at 48^2 (1,328) and
+# 0.62 s at 64^2 (1,792): about 0.3 ms per candidate, so all 4 * 4096 moves
+# of a 64^2 grid would take about 5 s.
+GRID_SEARCH_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -304,15 +321,61 @@ def _ring_moves(fam: RadialFamily, j: int, h: np.ndarray, ladder: np.ndarray):
     return rows, valid
 
 
+class _ComponentScores:
+    """What a sweep reads of one component, against one fixed anchor.
+
+    For component j at heights h: its single-ring moves and their mask
+    (`_ring_moves`), and the per-row (TV, squared L^2, radial bottleneck,
+    L^inf gap) of h and of every move.  None of these depends on the other
+    components, and a sweep changes at most one component, so each is
+    computed once per distinct (j, h) and reused by later sweeps.  A Sobolev
+    phi depends on every component and is never stored here.  One instance
+    serves one resolvent call.
+    """
+
+    def __init__(self, fam: RadialFamily, anchor_state: _RadialState):
+        self.fam = fam
+        self.anchor_heights = anchor_state.heights
+        self.refs = [
+            radial_reference(_profile_radius_atoms(fam, j, h))
+            for j, h in enumerate(anchor_state.heights)
+        ]
+        self.ladders = [
+            np.linspace(0.0, 1.5 * max(h.max(), 1e-12), fam.levels) for h in anchor_state.heights
+        ]
+        self.scored: dict[tuple, tuple] = {}
+
+    def terms(self, j: int, rows: np.ndarray):
+        """Per-row (TV, squared L^2, radial bottleneck, L^inf gap) of
+        component j against the anchor."""
+        fam = self.fam
+        tv, l2sq = _tv_l2(fam, j, rows)
+        w = quantile_gaps(_subring_radii(fam, j), _subring_weights(fam, j, rows), *self.refs[j])
+        return tv, l2sq, w, np.abs(rows - self.anchor_heights[j]).max(axis=-1)
+
+    def fresh(self, j: int, h: np.ndarray):
+        """(move rows, valid mask, terms of h, terms of the moves)."""
+        rows, valid = _ring_moves(self.fam, j, h, self.ladders[j])
+        return rows, valid, self.terms(j, h[None, :]), self.terms(j, rows)
+
+    def __call__(self, j: int, h: np.ndarray):
+        key = (j, h.tobytes())
+        if key not in self.scored:
+            self.scored[key] = self.fresh(j, h)
+        return self.scored[key]
+
+
 def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None = None):
     """Best-improvement sweeps over single-ring moves.
 
     Each sweep scores all (ring, level) moves of one component as arrays:
     ring-jump TV and L^2 as row sums, the L^inf height gap, and the radial
     bottleneck as one `quantile_gaps` call against the anchor's cumulative
-    weights; the components that did not move contribute constants.  The
-    moves are then taken in (component, ring, level) order, and the sweep
-    keeps each one that beats the best value so far by more than 1e-12.
+    weights; the components that did not move contribute constants.  These
+    per-component arrays come from `_ComponentScores`, so a sweep computes
+    them only for the component the previous sweep moved.  The moves are
+    then taken in (component, ring, level) order, and the sweep keeps each
+    one that beats the best value so far by more than 1e-12.
     """
     fam: RadialFamily = prob.family
     if anchor_state is None:
@@ -323,27 +386,16 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
     best_phi_val = phi_cur  # Phi(anchor) = phi(anchor): distance term is 0
     evaluated = 1
     sweeps = 0
-    refs = [
-        radial_reference(_profile_radius_atoms(fam, j, h))
-        for j, h in enumerate(anchor_state.heights)
-    ]
-
-    def terms(j: int, rows: np.ndarray):
-        """Per-row (TV, squared L^2, radial bottleneck, L^inf gap) of
-        component j against the anchor."""
-        tv, l2sq = _tv_l2(fam, j, rows)
-        w = quantile_gaps(_subring_radii(fam, j), _subring_weights(fam, j, rows), *refs[j])
-        return tv, l2sq, w, np.abs(rows - anchor_state.heights[j]).max(axis=-1)
-
-    ladders = [np.linspace(0.0, 1.5 * max(h.max(), 1e-12), fam.levels) for h in anchor_state.heights]
+    score = _ComponentScores(fam, anchor_state)
     while sweeps < fam.max_sweeps:
         sweeps += 1
         best_move = None
         best_val = best_phi_val
-        fixed = [terms(j, h[None, :]) for j, h in enumerate(current.heights)]
-        for j in range(len(fam.centers)):
-            rows, valid = _ring_moves(fam, j, current.heights[j], ladders[j])
-            tv, l2sq, w, lgap = zip(*fixed[:j], terms(j, rows), *fixed[j + 1 :])
+        comps = [score(j, h) for j, h in enumerate(current.heights)]
+        fixed = [c[2] for c in comps]
+        for j, (rows, valid, _, moved) in enumerate(comps):
+            valid = valid.copy()  # the Sobolev branch drops moves it cannot score
+            tv, l2sq, w, lgap = zip(*fixed[:j], moved, *fixed[j + 1 :])
             if prob.phi == "isop":
                 phi = sum(tv) / np.sqrt(sum(l2sq))
             else:
@@ -404,19 +456,39 @@ class _CoarseBottleneck:
     reads: the coarse support points and the integer capacities of both
     sides.  A reused value is therefore the value a fresh solve returns.  One
     instance serves one resolvent call.
+
+    The cells' bins and the bins' centers are found once.  `coarse` then
+    builds a state's coarse points and weights from its values with the float
+    operations of `_coarse`, in the same order, so they equal its output bit
+    for bit; a `DiscreteMeasure` is built only for a pair not yet solved.
     """
 
     def __init__(self, anchor: GridDensity, bins: int):
-        self.bins = bins
+        spec = anchor.spec
         self.anchor = _coarse(anchor, bins)
+        self.cell_volume = spec.cell_volume
+        cell_bin, self.bin_centers = coarse_lattice(spec.centers().reshape(-1, spec.dim), spec, bins)
+        self.cell_bin = cell_bin.reshape(spec.shape)
         self.solved: dict[tuple, float] = {}
 
+    def coarse(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coarse points of the state with these cell values, and the
+        weights `coarse_measure` hands to `DiscreteMeasure` (which divides
+        them by their sum once more)."""
+        mask = values > 0
+        w = values[mask] * self.cell_volume
+        w = w / w.sum()  # grid_to_atoms
+        w = w / w.sum()  # its DiscreteMeasure
+        mass = np.bincount(self.cell_bin[mask], weights=w, minlength=len(self.bin_centers))
+        occupied = np.nonzero(mass > 0)[0]
+        return self.bin_centers[occupied], mass[occupied] / mass[occupied].sum()
+
     def __call__(self, g: GridDensity) -> float:
-        coarse = _coarse(g, self.bins)
-        a, b, _ = scale_pair(coarse.weights, self.anchor.weights)
-        key = (coarse.points.tobytes(), a.tobytes(), b.tobytes())
+        points, raw = self.coarse(g.values)
+        a, b, _ = scale_pair(raw / raw.sum(), self.anchor.weights)
+        key = (points.tobytes(), a.tobytes(), b.tobytes())
         if key not in self.solved:
-            self.solved[key] = bottleneck.winf(coarse, self.anchor).value
+            self.solved[key] = bottleneck.winf(DiscreteMeasure(points, raw), self.anchor).value
         return self.solved[key]
 
 
@@ -425,21 +497,17 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
     adjacent cells."""
     fam: GridSearchFamily = prob.family
     spec = prob.anchor.spec
-    if int(np.prod(spec.shape)) > 4096:
-        raise InputError("grid local search is limited to 4096 cells")
+    if int(np.prod(spec.shape)) > GRID_SEARCH_CELLS:
+        raise InputError(f"grid local search is limited to {GRID_SEARCH_CELLS} cells")
     vol = spec.cell_volume
     anchor = prob.anchor
     coarse_winf = _CoarseBottleneck(anchor, fam.coarse_bins)
 
-    def phi_of(vals) -> float:
-        return _grid_phi(prob, GridDensity(spec, vals))
-
-    def dist_to_anchor(vals) -> float:
-        g = GridDensity(spec, vals)
+    def dist_to_anchor(g: GridDensity) -> float:
         return coarse_winf(g) + lp_norm_diff(g, anchor, math.inf)
 
     cur = anchor.values.copy()
-    phi_anchor = phi_of(cur)
+    phi_anchor = _grid_phi(prob, anchor)
     cur_val = phi_anchor
     moves = 0
     evaluated = 0
@@ -466,7 +534,8 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
                 if cand[src] < 0:
                     continue
                 try:
-                    val = phi_of(cand) + dist_to_anchor(cand) ** 2 / (2 * prob.tau)
+                    g = GridDensity(spec, cand)
+                    val = _grid_phi(prob, g) + dist_to_anchor(g) ** 2 / (2 * prob.tau)
                 except InputError:
                     continue
                 evaluated += 1
@@ -486,9 +555,9 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
         "candidates_evaluated": evaluated,
         "coarse_bins": fam.coarse_bins,
         "phi_anchor": phi_anchor,
-        "phi_out": phi_of(cur),
+        "phi_out": _grid_phi(prob, out),
     }
-    return out, None, float(cur_val), dist_to_anchor(cur), diag
+    return out, None, float(cur_val), dist_to_anchor(out), diag
 
 
 # ---------------------------------------------------------------------------

@@ -483,3 +483,82 @@ def test_cli_malformed_field_files(fuzz_trajectory, part, junk):
     field.write_text(mangle(field.read_text(), part, junk))
     rc, err = run_main("reconstruct", "--manifest", str(copy_dir / "curve_manifest.json"))
     assert_clean_exit(rc, err, fuzz_trajectory.parent / "out")
+
+
+def edit_manifest(fuzz_trajectory, edit):
+    """A copy of the fuzz trajectory whose manifest document is `edit(doc)`;
+    returns the copied manifest's path."""
+    copy_dir = fuzz_trajectory.parent / "traj_manifest"
+    shutil.rmtree(copy_dir, ignore_errors=True)
+    shutil.copytree(fuzz_trajectory, copy_dir)
+    path = copy_dir / "curve_manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return path
+
+
+def set_at(doc, where, value):
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: set_at(doc, ("states", 1, "time"), "abc"),
+        lambda doc: set_at(doc, ("states", 0, "grid"), 5),
+        lambda doc: [doc],
+        lambda doc: set_at(doc, ("states", 2, "time"), float("nan")),
+        lambda doc: set_at(doc, ("fields", 0, "time"), 10**400),
+        lambda doc: set_at(doc, ("states",), {"time": 0.0}),
+        lambda doc: {k: v for k, v in doc.items() if k != "states"},
+    ],
+    ids=["time_text", "grid_number", "list_document", "time_nan", "time_huge", "states_object",
+         "no_states"],
+)
+def test_load_trajectory_malformed_manifest_is_input_error(fuzz_trajectory, edit):
+    path = edit_manifest(fuzz_trajectory, edit)
+    with pytest.raises(InputError):
+        gridio.load_trajectory(path)
+    rc, err = run_main("reconstruct", "--manifest", str(path))
+    assert rc == 2 and "Traceback" not in err, err
+
+
+def test_load_trajectory_not_json_is_input_error(tmp_path):
+    for name, data in (("text.json", b"{not json"), ("binary.json", b"\xff\xfe{}")):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(InputError, match="JSON"):
+            gridio.load_trajectory(tmp_path / name)
+    with pytest.raises(InputError, match="not found"):
+        gridio.load_trajectory(tmp_path)
+
+
+# places in a trajectory manifest a fuzzed value can replace
+MANIFEST_PARTS = [
+    (),
+    ("format",),
+    ("states",),
+    ("states", 0),
+    ("states", 1, "time"),
+    ("states", 2, "grid"),
+    ("fields",),
+    ("fields", 1),
+    ("fields", 0, "time"),
+    ("fields", 1, "field"),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    where=st.sampled_from(MANIFEST_PARTS),
+    value=st.one_of(
+        st.sampled_from(MALFORMED + [True, -1, 0.5, 3, "curve_0000.csv", "missing.csv"]),
+        st.text(alphabet="0123456789.,-+eEinfaxN/ ", max_size=8),
+    ),
+)
+def test_cli_malformed_manifests(fuzz_trajectory, where, value):
+    path = edit_manifest(fuzz_trajectory, lambda doc: set_at(doc, where, value) if where else value)
+    rc, err = run_main("reconstruct", "--manifest", str(path))
+    assert_clean_exit(rc, err, fuzz_trajectory.parent / "out")

@@ -6,7 +6,7 @@ import pytest
 from plqp import bottleneck, mms
 from plqp.errors import InputError
 from plqp.functionals import BALL_ISOP_2D, isop
-from plqp.measures import make_multiball, make_ramp_ball
+from plqp.measures import DiscreteMeasure, GridDensity, make_multiball, make_ramp_ball
 from plqp.mms import (
     GridSearchFamily,
     RadialFamily,
@@ -19,7 +19,7 @@ from plqp.mms import (
 )
 from plqp.plmetric import lp_norm_diff
 
-from helpers import square_grid
+from helpers import line_grid, square_grid
 
 
 def ball_setup(tau=0.1):
@@ -265,3 +265,87 @@ def test_grid_scheme_ledger():
     # the step movement is the distance the resolvent scored for its output
     for k, m in enumerate(sol.movement):
         assert sol.moreau_values[k] == sol.phi_values[k + 1] + m**2 / (2 * part.steps[k])
+
+
+def random_states(rng, spec, count):
+    """Random unit-mass densities with scattered zero cells, clear of the ring."""
+    inner = (slice(1, -1),) * spec.dim
+    for _ in range(count):
+        vals = np.zeros(spec.shape)
+        vals[inner] = rng.uniform(0.0, 1.0, vals[inner].shape) * (rng.uniform(size=vals[inner].shape) < 0.6)
+        vals[inner][(0,) * spec.dim] += 1.0  # never empty
+        yield GridDensity(spec, vals / (vals.sum() * spec.cell_volume))
+
+
+def grid_candidates(g, quantum, count, rng):
+    """Random quantum transfers between adjacent cells of g, as the grid
+    search makes them."""
+    spec, vol = g.spec, g.spec.cell_volume
+    for _ in range(count):
+        src = tuple(rng.integers(2, s - 2) for s in spec.shape)
+        dst = list(src)
+        dst[rng.integers(spec.dim)] += rng.choice([-1, 1])
+        if g.values[src] * vol < quantum:
+            continue
+        cand = g.values.copy()
+        cand[src] -= quantum / vol
+        cand[tuple(dst)] += quantum / vol
+        yield GridDensity(spec, cand)
+
+
+@pytest.mark.parametrize(
+    "spec, bins",
+    [(square_grid(20, 4.4), 8), (square_grid(16, 4.0), 8), (square_grid(13, 3.0), 5),
+     (square_grid(9, 2.0), 7), (line_grid(30, 3.0, left=-1.5), 7)],
+)
+def test_coarse_key_is_bit_identical_to_coarse_measure(spec, bins):
+    # the grid search keys and solves on these arrays in place of _coarse's
+    rng = np.random.default_rng(17)
+    states = list(random_states(rng, spec, 25))
+    if spec.shape == (20, 20):
+        mb, prob = grid_setup()
+        states += [mb] + list(grid_candidates(mb, prob.family.quantum, 60, rng))
+    coarse_winf = mms._CoarseBottleneck(states[0], bins)
+    for g in states:
+        points, raw = coarse_winf.coarse(g.values)
+        want = mms._coarse(g, bins)
+        assert points.tobytes() == want.points.tobytes()
+        assert (raw / raw.sum()).tobytes() == want.weights.tobytes()
+        solved = DiscreteMeasure(points, raw)
+        assert solved.points.tobytes() == want.points.tobytes()
+        assert solved.weights.tobytes() == want.weights.tobytes()
+
+
+@pytest.mark.parametrize("phi", ["isop", "sobolev"])
+def test_radial_sweeps_reuse_exact_component_scores(monkeypatch, phi):
+    mb, prob = two_ball_setup()
+    if phi == "sobolev":
+        fam = RadialFamily.from_anchor(mb, [(-1.4, 0.0), (1.4, 0.0)], [1.2, 1.2], rings=4, levels=6)
+        prob = ResolventProblem("sobolev", 0.1, mb, fam)
+        radial_phi = mms._radial_phi
+
+        def rejecting(prob, state):
+            # the Sobolev branch drops the moves phi rejects from its mask
+            if state.heights[0][0] == 0.0:
+                raise InputError("rejected")
+            return radial_phi(prob, state)
+
+        monkeypatch.setattr(mms, "_radial_phi", rejecting)
+    reused = []
+
+    class Checked(mms._ComponentScores):
+        def __call__(self, j, h):
+            hit = (j, h.tobytes()) in self.scored
+            got = super().__call__(j, h)
+            if hit:
+                rows, valid, fixed, moved = self.fresh(j, h)
+                np.testing.assert_array_equal(got[0], rows)
+                np.testing.assert_array_equal(got[1], valid)
+                for a, b in zip(got[2] + got[3], fixed + moved):
+                    np.testing.assert_array_equal(a, b)
+                reused.append(j)
+            return got
+
+    monkeypatch.setattr(mms, "_ComponentScores", Checked)
+    resolvent(prob)
+    assert len(reused) > 0 and set(reused) <= {0, 1}

@@ -394,11 +394,11 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
         comps = [score(j, h) for j, h in enumerate(current.heights)]
         fixed = [c[2] for c in comps]
         for j, (rows, valid, _, moved) in enumerate(comps):
-            valid = valid.copy()  # the Sobolev branch drops moves it cannot score
             tv, l2sq, w, lgap = zip(*fixed[:j], moved, *fixed[j + 1 :])
             if prob.phi == "isop":
                 phi = sum(tv) / np.sqrt(sum(l2sq))
             else:
+                valid = valid.copy()  # later sweeps reuse the stored mask
                 phi = np.full(len(rows), np.nan)
                 for r in np.flatnonzero(valid):
                     try:

@@ -28,6 +28,7 @@ from .dynamics import bb_verify, continuity_residual, reconstruct_velocity
 from .errors import InfeasibleError, InputError
 from .functionals import isop
 from .measures import (
+    RENORM_GUARD,
     DiscreteMeasure,
     GridSpec,
     dilate_curve,
@@ -263,11 +264,12 @@ def cmd_bb(args) -> dict:
 def cmd_curve(args) -> dict:
     g = gridio.read_grid(args.grid)
     times = _reals(args.times.split(","), "--times")
+    guard = _real(args.guard, "--guard")
     if args.kind == "translate":
         V = tuple(_reals(args.param.split(","), "--param"))
         traj = translate_curve(g, V, times)
     elif args.kind == "dilate":
-        traj = dilate_curve(g, _real(args.param, "--param"), times)
+        traj = dilate_curve(g, _real(args.param, "--param"), times, guard=guard)
     else:
         raise InputError(f"unknown curve kind {args.kind!r}")
     out_dir = Path(args.out)
@@ -385,6 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="vx,vy for translate; M for dilate (write a negative value as --param=-0.25,0)",
     )
     c.add_argument("--times", required=True, help="comma-separated times")
+    c.add_argument(
+        "--guard",
+        default=RENORM_GUARD,
+        help=f"dilate only: largest accepted |renormalization factor - 1| (default {RENORM_GUARD})",
+    )
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_curve)
 

@@ -8,9 +8,15 @@ tracing.
 
 The reconstruction solves for the momentum m = v * f on staggered faces
 (avoiding division by small densities); velocities are reported only where
-f >= 1e-9.  The minimal sup-norm solve bounds |m_e| <= B * f_e on every face
-of the staggered edge graph and minimizes B exactly as a linear program; the
-per-cell Euclidean speed is assembled from face values afterwards.
+f >= 1e-9.  The minimal sup-norm solve minimizes the face norm
+max_e |m_e| / f_e over the staggered edge graph exactly, as two linear
+programs whose only inequalities are box bounds on the columns.  Phase 1 is
+the homogenized form: m = t f u with -1 <= u <= 1 and r = -1/t <= 0, so
+minimizing t is minimizing r subject to div(f u) + r rhs = 0, and the face
+norm is -1/r.  Phase 2 writes m = p - q with 0 <= p, q <= t f and picks,
+among momenta at that bound, the one of least total face speed
+sum (p_e + q_e) / f_e.  The per-cell Euclidean speed is assembled from face
+values afterwards.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage, sparse
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lsqr
 
 from .bottleneck import winf, winf_grid
@@ -147,17 +154,85 @@ def _support_compatible(f0: np.ndarray, f1: np.ndarray) -> bool:
     return bool(np.all(s1 <= grow) and np.all(s0 <= shrink))
 
 
+def _residual_bound(rhs: np.ndarray) -> float:
+    """Largest |div m - rhs| (2-norm) accepted as solving the continuity
+    constraint."""
+    return 1e-7 * max(1.0, float(np.abs(rhs).max()))
+
+
+def _unroutable_mass(Da, rhs: np.ndarray, mass_unit: float) -> float:
+    """Mass that no flow along the active faces can move: half the summed
+    net imbalance of rhs over the connected components of the face graph."""
+    inc = abs(Da)
+    _, labels = connected_components(inc @ inc.T, directed=False)
+    net = np.bincount(labels, weights=rhs) * mass_unit
+    return 0.5 * float(np.abs(net).sum())
+
+
+def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
+    """Momentum of least face norm max_e |m_e| / f_e with Da m = rhs, and
+    that norm.  Both LPs use box bounds only, no inequality rows.
+
+    An unbounded phase 1 (rhs below the solver tolerance, or exactly 0) is
+    no motion: face norm 0.  An optimum r = 0, or a phase-1 momentum that
+    misses rhs, is infeasible; the error names the mass (`mass_unit` per
+    unit of rhs in a cell) that no flow along the active faces can move.
+    """
+    nfa = len(fa)
+    # phase 1, homogenized: m = t fa u with |u| <= 1 and r = -1/t <= 0, so
+    # minimizing t is minimizing r subject to Da diag(fa) u + r rhs = 0.
+    # The cost is e_last (perfbench/tracer.py tells the phases apart by it).
+    cost = np.zeros(nfa + 1)
+    cost[-1] = 1.0
+    res = linprog(
+        cost,
+        A_eq=sparse.hstack([Da @ sparse.diags(fa), sparse.csr_matrix(rhs[:, None])], format="csr"),
+        b_eq=np.zeros(len(rhs)),
+        bounds=np.array([(-1.0, 1.0)] * nfa + [(-np.inf, 0.0)]),
+        method="highs",
+    )
+    if res.status == 3:
+        # r unbounded below: t = 0 moves rhs within the solver tolerance
+        return np.zeros(nfa), 0.0
+    if res.status != 0:
+        raise InfeasibleError(f"sup-norm reconstruction failed: {res.message}")
+    r = float(res.x[-1])
+    face_norm = -1.0 / r if r < 0.0 else 0.0
+    m1 = face_norm * fa * res.x[:-1]
+    resid = float(np.linalg.norm(Da @ m1 - rhs))
+    if r >= 0.0 or resid > _residual_bound(rhs):
+        # r = 0, or an r that balances rhs only within the solver tolerance
+        lost = _unroutable_mass(Da, rhs, mass_unit)
+        raise InfeasibleError(
+            f"sup-norm reconstruction infeasible: mass {lost:.3g} cannot move "
+            f"along faces of positive density (phase-1 residual {resid:.3g})"
+        )
+    # phase 2: the sup-norm optimum is degenerate; among momenta at the
+    # optimal bound, m = p - q with 0 <= p, q <= cap, take the one of least
+    # total face speed sum (p_e + q_e) / f_e to kill transverse wiggle
+    cap = face_norm * (1.0 + 1e-9) * fa + 1e-15
+    speed = 1.0 / fa
+    res2 = linprog(
+        np.concatenate([speed, speed]),
+        A_eq=sparse.hstack([Da, -Da], format="csr"),
+        b_eq=rhs,
+        bounds=np.column_stack([np.zeros(2 * nfa), np.concatenate([cap, cap])]),
+        method="highs",
+    )
+    if res2.status == 0:
+        return res2.x[:nfa] - res2.x[nfa:], face_norm
+    return m1, face_norm
+
+
 def _solve_interval(spec, f0, f1, dt, norm):
     """Minimal-norm momentum on faces with div m = (f0 - f1)/dt.
 
     With norm='linf' the face bound of phase 1 is an LP optimum value and
-    does not depend on the solver.  Phase 2 (least total |m| under that
-    bound) has many optimal vertices, and the reported cell sup-norm depends
-    on which one HiGHS returns.  On the 96^2 ramp ball translated at speed
-    0.25 of `test_reconstruct_translation_sup_norm_and_direction`, every
-    interval has face norm 0.258887 either way, but a cell sup-norm of
-    0.2658 with presolve on (the default used here) and 0.2767 with presolve
-    off, above that test's bound of 0.275.
+    does not depend on the solver.  Phase 2 minimizes the total face speed
+    sum |m_e| / f_e under that bound.  On the 96^2 ramp ball translated at
+    speed 0.25 of `test_reconstruct_translation_sup_norm_and_direction`,
+    every interval has face norm 0.258887 and the largest cell sup-norm is
+    0.2608, with HiGHS presolve on (the default used here) and off alike.
     """
     rhs = (f0 - f1).ravel() / dt
     if abs(rhs.sum() * spec.cell_volume) > 1e-9:
@@ -169,53 +244,17 @@ def _solve_interval(spec, f0, f1, dt, norm):
     fface = np.concatenate([_face_density(fbar, ax).ravel() for ax in range(spec.dim)])
     active = fface > 0
     Da = D[:, active]
+    fa = fface[active]
     if norm == "l2":
         sol = lsqr(Da, rhs, atol=1e-14, btol=1e-14, iter_lim=20_000)
         ma = sol[0]
         resid = float(np.linalg.norm(Da @ ma - rhs))
-        if resid > 1e-7 * max(1.0, float(np.abs(rhs).max())):
+        if resid > _residual_bound(rhs):
             raise InfeasibleError(f"continuity constraint unsatisfiable, residual {resid}")
-        fa = fface[active]
         solid = fa >= DENSITY_FLOOR
         face_norm = float(np.abs(ma[solid] / fa[solid]).max()) if solid.any() else 0.0
     elif norm == "linf":
-        nfa = int(active.sum())
-        fa = fface[active]
-        # phase 1: minimize t with |m_e| <= t * f_e and div m = rhs
-        cost = np.zeros(nfa + 1)
-        cost[-1] = 1.0
-        A_eq = sparse.hstack([Da, sparse.csr_matrix((Da.shape[0], 1))], format="csr")
-        eye = sparse.eye(nfa, format="csr")
-        fcol = sparse.csr_matrix(-fa.reshape(-1, 1))
-        A_ub = sparse.vstack([sparse.hstack([eye, fcol]), sparse.hstack([-eye, fcol])])
-        res = linprog(
-            cost,
-            A_ub=A_ub.tocsr(),
-            b_ub=np.zeros(2 * nfa),
-            A_eq=A_eq,
-            b_eq=rhs,
-            bounds=[(None, None)] * nfa + [(0, None)],
-            method="highs",
-        )
-        if res.status != 0:
-            raise InfeasibleError(f"sup-norm reconstruction infeasible: {res.message}")
-        face_norm = float(res.x[-1])
-        # phase 2: the sup-norm optimum is degenerate; among momenta at the
-        # optimal bound, pick the one of least total |m| to kill transverse
-        # wiggle in the reported field
-        cap = face_norm * (1.0 + 1e-9) * fa + 1e-15
-        res2 = linprog(
-            np.concatenate([np.zeros(nfa), np.ones(nfa)]),
-            A_ub=sparse.vstack(
-                [sparse.hstack([eye, -eye]), sparse.hstack([-eye, -eye])]
-            ).tocsr(),
-            b_ub=np.zeros(2 * nfa),
-            A_eq=sparse.hstack([Da, sparse.csr_matrix((Da.shape[0], nfa))], format="csr"),
-            b_eq=rhs,
-            bounds=[(-c, c) for c in cap] + [(0, None)] * nfa,
-            method="highs",
-        )
-        ma = res2.x[:nfa] if res2.status == 0 else res.x[:-1]
+        ma, face_norm = _sup_norm_momentum(Da, fa, rhs, spec.cell_volume * dt)
         resid = float(np.linalg.norm(Da @ ma - rhs))
     else:
         raise InputError(f"unknown norm {norm!r}; use 'l2' or 'linf'")

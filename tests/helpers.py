@@ -66,3 +66,18 @@ def random_positive_density(rng, spec: GridSpec) -> GridDensity:
         sl[ax] = spec.shape[ax] - 1
         raw[tuple(sl)] = 0.0
     return GridDensity(spec, raw / (raw.sum() * spec.cell_volume))
+
+
+def two_ball_swap(swap: float):
+    """Two ramp balls 2 apart on a 32^2 grid (h = 0.125), half the mass on
+    each at t = 0; at t = 1, `swap` of it has moved from the left ball to
+    the right one.  Both balls stay in the support, so only a flow between
+    them could carry the swap, and no face of positive density joins them."""
+    from plqp.measures import Trajectory, make_ramp_ball
+
+    spec = square_grid(32, 4.0)
+    left = make_ramp_ball(spec, (-1.0, 0.0), 0.5, 0.3, guard=0.05).values
+    right = make_ramp_ball(spec, (1.0, 0.0), 0.5, 0.3, guard=0.05).values
+    f0 = GridDensity(spec, 0.5 * left + 0.5 * right)
+    f1 = GridDensity(spec, (0.5 - swap) * left + (0.5 + swap) * right)
+    return Trajectory((0.0, 1.0), (f0, f1))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
+from plqp import dynamics
 from plqp.bottleneck import winf_grid
 from plqp.dynamics import (
     PathEnsemble,
@@ -11,7 +14,7 @@ from plqp.dynamics import (
     reconstruct_velocity,
     trace_characteristics,
 )
-from plqp.errors import InputError
+from plqp.errors import InfeasibleError, InputError
 from plqp.measures import (
     DiscreteMeasure,
     GridDensity,
@@ -23,7 +26,7 @@ from plqp.measures import (
     translate_curve,
 )
 
-from helpers import random_blob, square_grid
+from helpers import random_blob, square_grid, two_ball_swap
 
 
 def const_field(spec, V, times):
@@ -165,7 +168,7 @@ def test_reconstruct_constant_trajectory_zero_field():
         np.testing.assert_allclose(rec.at(0), 0.0, atol=1e-12)
 
 
-def test_reconstruct_translation_sup_norm_and_direction():
+def check_translation_sup_norm_and_direction():
     spec = square_grid(96, 4.8)
     g = make_ramp_ball(spec, (0.0, 0.0), 0.8, 0.15)
     V = 0.25
@@ -177,6 +180,24 @@ def test_reconstruct_translation_sup_norm_and_direction():
     v = rec.at(0)[bulk]
     angles = np.degrees(np.arctan2(v[:, 1], v[:, 0]))
     assert np.abs(angles).max() <= 10.0
+
+
+def test_reconstruct_translation_sup_norm_and_direction():
+    check_translation_sup_norm_and_direction()
+
+
+def test_reconstruct_translation_sup_norm_without_presolve(monkeypatch):
+    # the phase-2 vertex, and so the cell sup-norm, must not hinge on a
+    # solver default: the same bounds hold with HiGHS presolve off
+    calls = []
+
+    def no_presolve(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, options={"presolve": False}, **kwargs)
+
+    monkeypatch.setattr(dynamics, "linprog", no_presolve)
+    check_translation_sup_norm_and_direction()
+    assert len(calls) == 10  # two LPs per interval
 
 
 def test_reconstruct_l2_direction_on_bulk():
@@ -216,10 +237,99 @@ def test_reconstruct_mass_mismatch_errors():
     object.__setattr__(g2, "values", vals * 1.5)
     traj = Trajectory((0.0, 1.0), (f0, f0))
     object.__setattr__(traj, "densities", (f0, g2))
-    from plqp.errors import InfeasibleError
-
     with pytest.raises(InfeasibleError, match="mass"):
         reconstruct_velocity(traj, "linf")
+
+
+def face_lp(f0: GridDensity, f1: GridDensity, dt: float):
+    """The active-face divergence, face densities and rhs of one interval,
+    built as `_solve_interval` builds them."""
+    spec = f0.spec
+    D, _ = dynamics._divergence_matrix(spec)
+    fbar = 0.5 * (f0.values + f1.values)
+    fface = np.concatenate([dynamics._face_density(fbar, ax).ravel() for ax in range(spec.dim)])
+    active = fface > 0
+    return D[:, active], fface[active], (f0.values - f1.values).ravel() / dt
+
+
+def inequality_row_face_norm(Da, fa, rhs) -> float:
+    """Oracle: minimize t with the 2 nfa rows |m_e| <= t f_e written out
+    as inequalities beside div m = rhs."""
+    nfa = len(fa)
+    cost = np.zeros(nfa + 1)
+    cost[-1] = 1.0
+    eye = sparse.eye(nfa, format="csr")
+    fcol = sparse.csr_matrix(-fa.reshape(-1, 1))
+    res = linprog(
+        cost,
+        A_ub=sparse.vstack([sparse.hstack([eye, fcol]), sparse.hstack([-eye, fcol])]).tocsr(),
+        b_ub=np.zeros(2 * nfa),
+        A_eq=sparse.hstack([Da, sparse.csr_matrix((Da.shape[0], 1))], format="csr"),
+        b_eq=rhs,
+        bounds=[(None, None)] * nfa + [(0, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
+def oracle_pairs():
+    # the seeded shifts of test_reconstruct_lower_bound_against_bottleneck
+    rng = np.random.default_rng(2024)
+    spec = square_grid(24, 1.0)
+    for _ in range(10):
+        f0 = random_blob(rng, spec)
+        ax = int(rng.integers(0, 2))
+        sgn = int(rng.choice([-1, 1]))
+        yield f0, GridDensity(spec, _int_shift(f0.values, ax, sgn)), 1.0
+    # a whole-cell translation on the 32^2 grid of the continuity benchmark
+    spec = square_grid(32, 4.0)
+    g = make_ramp_ball(spec, (0.0, 0.0), 1.0, 0.4, guard=0.05)
+    yield g, GridDensity(spec, _int_shift(g.values, 0, 1)), 0.25
+
+
+def test_sup_norm_phase1_matches_inequality_row_oracle():
+    for f0, f1, dt in oracle_pairs():
+        Da, fa, rhs = face_lp(f0, f1, dt)
+        m, face_norm = dynamics._sup_norm_momentum(Da, fa, rhs, f0.spec.cell_volume * dt)
+        assert face_norm == pytest.approx(inequality_row_face_norm(Da, fa, rhs), rel=1e-9)
+        assert np.all(np.abs(m) <= face_norm * (1.0 + 1e-9) * fa + 1e-15)
+        assert np.linalg.norm(Da @ m - rhs) <= 1e-9
+        rec = reconstruct_velocity(Trajectory((0.0, dt), (f0, f1)), "linf")
+        assert rec.face_norms[0] == face_norm
+        assert rec.residuals[0] <= 1e-9
+
+
+@pytest.mark.parametrize("swap", [0.1, 1e-6])
+def test_reconstruct_unroutable_swap_is_infeasible(swap):
+    with pytest.raises(InfeasibleError) as err:
+        reconstruct_velocity(two_ball_swap(swap), "linf")
+    message = str(err.value)
+    assert f"mass {swap:.3g} cannot move" in message
+    assert "terminated successfully" not in message
+
+
+@pytest.mark.parametrize("swap", [1e-12, 0.0])
+def test_reconstruct_negligible_swap_is_no_motion(swap):
+    # a swap below the solver tolerance leaves the homogenized phase 1
+    # unbounded (r -> -inf), which is face norm 0, not an error
+    rec = reconstruct_velocity(two_ball_swap(swap), "linf")
+    assert rec.face_norms == (0.0,)
+    assert rec.sup_norms[0] <= 1e-12
+    assert rec.residuals[0] <= 1e-10
+
+
+@pytest.mark.parametrize("exponent", range(1, 14))
+def test_reconstruct_swap_is_infeasible_or_no_motion(exponent):
+    # every swap between two unjoined balls either raises or is no motion;
+    # near the solver tolerance, phase 1 can balance rhs only approximately
+    # with some r < 0, and that r must not be reported as a face norm
+    try:
+        rec = reconstruct_velocity(two_ball_swap(10.0**-exponent), "linf")
+    except InfeasibleError as err:
+        assert "cannot move" in str(err)
+    else:
+        assert rec.face_norms == (0.0,)
 
 
 def test_reconstruct_support_condition():

@@ -16,7 +16,7 @@ from plqp import cli, gridio
 from plqp.errors import InputError
 from plqp.measures import _int_shift, make_ramp_ball, translate_curve
 
-from helpers import square_grid
+from helpers import square_grid, two_ball_swap
 
 
 def run_cli(*args):
@@ -562,3 +562,41 @@ def test_cli_malformed_manifests(fuzz_trajectory, where, value):
     path = edit_manifest(fuzz_trajectory, lambda doc: set_at(doc, where, value) if where else value)
     rc, err = run_main("reconstruct", "--manifest", str(path))
     assert_clean_exit(rc, err, fuzz_trajectory.parent / "out")
+
+
+def test_cli_reconstruct_unroutable_swap_exits_3(tmp_path):
+    manifest = gridio.save_trajectory(two_ball_swap(0.1), tmp_path / "swap")
+    rc, err = run_main("reconstruct", "--manifest", str(manifest), "--norm", "linf")
+    assert rc == 3
+    assert "mass 0.1 cannot move" in err
+    assert "Traceback" not in err
+
+
+def test_cli_curve_dilate_guard(tmp_path):
+    # a 12^2 ramp ball dilated by 1.2 renormalizes by about 3%: rejected
+    # under the default guard, accepted under a looser one
+    spec = square_grid(12, 4.0)
+    path = tmp_path / "ball.csv"
+    gridio.write_grid(make_ramp_ball(spec, (0.0, 0.0), 1.0, 0.4, guard=0.05), path)
+    out = tmp_path / "dilate"
+    argv = ["curve", "--kind", "dilate", "--grid", str(path), "--param", "1.2",
+            "--times", "0,0.5,1", "--out", str(out)]
+    rc, err = run_main(*argv)
+    assert rc == 2 and "grid too coarse" in err
+    assert not out.exists()
+    rc, err = run_main(*argv, "--guard", "0.05")
+    assert rc == 0, err
+    traj = gridio.load_trajectory(out / "curve_manifest.json")
+    assert len(traj) == 3
+    for g in traj.densities:
+        assert g.mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("guard", ["abc", "", "nan", "inf", "1e-3x"])
+def test_cli_curve_malformed_guard_exits_2(fuzz_dir, guard):
+    out = fuzz_dir / "out"
+    for kind, param in (("dilate", "1.2"), ("translate", "0.1875,0")):
+        rc, err = run_main("curve", "--kind", kind, "--grid", str(fuzz_dir / "a.csv"),
+                           f"--param={param}", "--times=0,1", f"--guard={guard}", "--out", str(out))
+        assert rc == 2 and "--guard" in err
+        assert_clean_exit(rc, err, out)

@@ -28,6 +28,10 @@ against the float weights, and the threshold is exact for the scaled
 weights.  Equal weights round to equal capacities, so uniform instances are
 solved exactly.  For measures derived from grids, cell-center quantization
 adds at most h*sqrt(n)/2 per measure to the distance.
+
+`quantile_gaps` is the one kernel of the monotone (quantile) coupling on the
+line, read by `winf_radial`, the radial scheme sweeps and
+`transport.monotone_1d`; its mass rule makes rounding-level differences 0.
 """
 
 from __future__ import annotations
@@ -268,6 +272,10 @@ class RadialMeasure:
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
         w = np.asarray(self.weights, dtype=float)
+        if r.ndim != 1 or r.shape != w.shape or len(r) == 0:
+            raise InputError("radii and weights must be nonempty lists of one length")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
+            raise InputError("radii and weights must be finite")
         if np.any(np.diff(r) < 0):
             raise InputError("radii must be sorted")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
@@ -284,26 +292,34 @@ class RadialMeasure:
         return RadialMeasure(np.asarray(center, dtype=float), r[order], atoms.weights[order])
 
 
-def radial_reference(nu: RadialMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and cumulative weights of the positive atoms of `nu`: the fixed
-    side of `quantile_gaps`."""
-    keep = nu.weights > 0
-    return nu.radii[keep], np.cumsum(nu.weights)[keep]
+def quantile_reference(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and cumulative weights of the positive atoms of one distribution
+    on the sorted `points`: the fixed side of `quantile_gaps`."""
+    keep = weights > 0
+    return points[keep], np.cumsum(weights)[keep]
 
 
 def quantile_gaps(
-    radii: np.ndarray, weights: np.ndarray, ref_radii: np.ndarray, ref_cum: np.ndarray
-) -> np.ndarray:
-    """Bottleneck cost of the monotone coupling of each row against one
-    reference radius distribution.
+    points: np.ndarray, weights: np.ndarray, ref_points: np.ndarray, ref_cum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The monotone (quantile) coupling on the line of each row against one
+    reference distribution, segment by segment.
 
-    `weights` holds one radius distribution per row on the shared sorted
-    `radii` (zero entries allowed); the reference is given by
-    `radial_reference`.  Each row is evaluated on its merged quantile grid
-    with the reference: at the midpoint of every merged level interval the
-    monotone coupling pairs the radii holding that quantile, and the cost is
-    the largest gap.  Quantiles past a row's (or the reference's) total go to
+    `weights` holds one distribution per row on the shared sorted `points`
+    (zero entries allowed); the reference is given by `quantile_reference`.
+    Each row's cumulative levels are merged with the reference's, row levels
+    first on ties.  On each merged segment (previous level, level] the
+    coupling pairs the first row and reference atoms whose cumulative weight
+    reaches `level`; quantiles past a row's (or the reference's) total go to
     its last positive atom.
+
+    Returns (mass, gap), each of shape (rows, n + m) for n points and m
+    reference atoms: the mass each segment matches and the distance it moves
+    it.  A segment counts only if its mass exceeds (n + m) eps, the rounding
+    bound of the two cumulative sums: two distributions equal up to rounding
+    split a level into a sliver that pairs an atom with its neighbour.  A
+    segment that does not count has mass and gap 0.  So a row's W_q is
+    (sum mass gap^q)^(1/q) and its bottleneck cost is its largest gap.
     """
     w = np.atleast_2d(weights)
     cum = np.cumsum(w, axis=1)
@@ -318,26 +334,25 @@ def quantile_gaps(
     merged = np.empty((rows, n + m))
     merged[from_row] = cum.ravel()
     merged[~from_row] = np.tile(ref_cum, rows)
-    prev = np.concatenate([np.zeros((rows, 1)), merged[:, :-1]], axis=1)
-    # an interval of positive length whose midpoint rounds onto its lower end
-    # holds the same pair as the interval below it
-    scored = (merged > prev) & ((prev + merged) / 2 > prev)
-    # the atoms holding (prev, level]: the first row and reference atoms
-    # whose cumulative weight reaches `level`
+    mass = merged - np.concatenate([np.zeros((rows, 1)), merged[:, :-1]], axis=1)
+    mass[mass <= (n + m) * np.finfo(float).eps] = 0.0
+    # the atoms holding (previous level, level]: the first row and reference
+    # atoms whose cumulative weight reaches `level`
     ia = np.cumsum(from_row, axis=1) - from_row
     ib = np.minimum(np.arange(n + m) - ia, m - 1)
     last = n - 1 - np.argmax(w[:, ::-1] > 0, axis=1)
     ia = np.where(ia < n, ia, last[:, None])
-    return np.where(scored, np.abs(radii[ia] - ref_radii[ib]), 0.0).max(axis=1)
+    return mass, np.where(mass > 0, np.abs(points[ia] - ref_points[ib]), 0.0)
 
 
 def winf_radial(mu: RadialMeasure, nu: RadialMeasure) -> float:
-    """Bottleneck cost of the monotone rearrangement of radius distributions
-    (one row of `quantile_gaps`).
+    """Bottleneck cost of the monotone rearrangement of radius distributions:
+    the largest gap of `quantile_gaps` on one row.
 
     An accelerator for concentric radial measures; cross-validate against
     winf on coarse grids before trusting it on a new family.
     """
     if np.linalg.norm(mu.center - nu.center) > 1e-12:
         raise InputError("radial measures must share a center")
-    return float(quantile_gaps(mu.radii, mu.weights, *radial_reference(nu))[0])
+    _, gap = quantile_gaps(mu.radii, mu.weights, *quantile_reference(nu.radii, nu.weights))
+    return float(gap.max())

@@ -182,9 +182,7 @@ def _anchor_from_config(cfg: dict):
 
 
 def cmd_mms(args) -> dict:
-    cfg = json.loads(Path(args.config).read_text()) if Path(args.config).exists() else None
-    if cfg is None:
-        raise InputError(f"config file not found: {args.config}")
+    cfg = json.loads(gridio.read_text(args.config, "config"))
     if not isinstance(cfg, dict):
         raise InputError(f"config must be a JSON object, got {cfg!r}")
     # flag overrides for the config fields
@@ -307,20 +305,20 @@ def _uniform_pair(rng, m: int) -> tuple[DiscreteMeasure, DiscreteMeasure]:
 
 
 def cmd_oracle(args) -> dict:
+    if args.instances < 1:
+        raise InputError(f"--instances must be at least 1, got {args.instances}")
     # three independently seeded cross-check loops; each draws its instances
     # first and solves them in one batch
     rng = np.random.default_rng(args.seed)
     pairs = [_uniform_pair(rng, int(rng.integers(2, 7))) for _ in range(args.instances)]
     worst_winf = max(
-        (abs(r.value - winf_permutation_oracle(a, b)) for r, (a, b) in zip(winf_many(pairs), pairs)),
-        default=0.0,
+        abs(r.value - winf_permutation_oracle(a, b)) for r, (a, b) in zip(winf_many(pairs), pairs)
     )
     rng = np.random.default_rng(args.seed + 1)
     q = 2.0
     pairs = [_uniform_pair(rng, int(rng.integers(2, 7))) for _ in range(args.instances)]
     worst_wq = max(
-        (abs(r.cost - wq_permutation_oracle(a, b, q)) for r, (a, b) in zip(wq_many(pairs, q), pairs)),
-        default=0.0,
+        abs(r.cost - wq_permutation_oracle(a, b, q)) for r, (a, b) in zip(wq_many(pairs, q), pairs)
     )
     rng = np.random.default_rng(args.seed + 2)
     pairs = []
@@ -331,8 +329,7 @@ def cmd_oracle(args) -> dict:
         b = DiscreteMeasure(rng.uniform(0, 10, (k, 1)), rng.dirichlet(np.ones(k)))
         pairs.append((a, b))
     worst_1d = max(
-        (abs(r.cost - monotone_1d(a, b, 1.5)) for r, (a, b) in zip(wq_many(pairs, 1.5), pairs)),
-        default=0.0,
+        abs(r.cost - monotone_1d(a, b, 1.5)) for r, (a, b) in zip(wq_many(pairs, 1.5), pairs)
     )
     return {
         "instances": args.instances,

@@ -56,16 +56,22 @@ def _parse_header(kind: str, header: str) -> GridSpec | None:
     return GridSpec(int(m.group(2)), shape, h, origin)
 
 
-def _read(kind: str, path: str | Path) -> tuple[GridSpec, np.ndarray]:
-    """The spec and the values, one row per grid row, of a file written by
-    `_write`; InputError on anything malformed."""
+def read_text(path: str | Path, kind: str) -> str:
+    """The text of a `kind` file; InputError if it is not a file (missing, or
+    a directory) or not UTF-8 text."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"{kind} file not found: {path}")
     try:
-        text = path.read_text().strip().splitlines()
+        return path.read_text()
     except UnicodeDecodeError:
         raise InputError(f"{path} is not a text file") from None
+
+
+def _read(kind: str, path: str | Path) -> tuple[GridSpec, np.ndarray]:
+    """The spec and the values, one row per grid row, of a file written by
+    `_write`; InputError on anything malformed."""
+    text = read_text(path, kind).strip().splitlines()
     if not text:
         raise InputError(f"empty {kind} file: {path}")
     spec = _parse_header(kind, text[0])

@@ -43,7 +43,9 @@ import numpy as np
 
 from . import bottleneck
 from ._scaling import scale_pair
-from .bottleneck import RadialMeasure, quantile_gaps, radial_reference, winf_grid, winf_radial
+from .bottleneck import quantile_gaps, quantile_reference, winf_grid
+# unused here but stays bound: perfbench/tracer.py patches it
+from .bottleneck import winf_radial  # noqa: F401
 from .errors import InputError
 from .functionals import isop, sobolev_ratio
 from .measures import (
@@ -106,6 +108,10 @@ class RadialFamily:
     max_sweeps: int = 60
 
     def __post_init__(self):
+        if not len(self.centers) == len(self.masses) == len(self.outer_radii):
+            raise InputError("centers, masses and outer_radii must have one length")
+        if not all(0 < R < math.inf for R in self.outer_radii):
+            raise InputError(f"outer radii must be positive, got {self.outer_radii}")
         if self.rings < 1 or self.rings > 8:
             raise InputError("rings must be in 1..8")
         if abs(sum(self.masses) - 1.0) > 1e-9:
@@ -233,19 +239,6 @@ def _tv_l2(fam: RadialFamily, j: int, h: np.ndarray) -> tuple[np.ndarray, np.nda
     return tv, l2sq
 
 
-def _profile_isop(state: _RadialState) -> float:
-    """Continuum isoperimetric ratio of the piecewise-constant profile."""
-    tv = 0.0
-    l2sq = 0.0
-    for j, h in enumerate(state.heights):
-        t, l2 = _tv_l2(state.family, j, h)
-        tv += float(t)
-        l2sq += float(l2)
-    if l2sq <= 0:
-        raise InputError("zero profile")
-    return tv / math.sqrt(l2sq)
-
-
 def _subring_radii(fam: RadialFamily, j: int) -> np.ndarray:
     fine_edges = np.linspace(0.0, fam.outer_radii[j], fam.rings * SUBRINGS + 1)
     return 0.5 * (fine_edges[:-1] + fine_edges[1:])
@@ -257,34 +250,6 @@ def _subring_weights(fam: RadialFamily, j: int, h: np.ndarray) -> np.ndarray:
     fine_edges = np.linspace(0.0, fam.outer_radii[j], fam.rings * SUBRINGS + 1)
     w = np.repeat(h, SUBRINGS, axis=-1) * (math.pi * np.diff(fine_edges**2))
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def _profile_radius_atoms(fam: RadialFamily, j: int, h: np.ndarray) -> RadialMeasure:
-    """Sub-ring radius marginal of one component (for the radial bottleneck)."""
-    if not (h > 0).any():
-        raise InputError("zero profile")
-    return RadialMeasure(
-        np.asarray(fam.centers[j]), _subring_radii(fam, j), _subring_weights(fam, j, h)
-    )
-
-
-def _profile_distance(a: _RadialState, b: _RadialState) -> float:
-    """Composite distance in profile space: per-component radial bottleneck
-    (components keep their mass, so couplings stay component-wise) plus the
-    exact L^inf height difference."""
-    fam = a.family
-    wpart = 0.0
-    lpart = 0.0
-    for j in range(len(fam.centers)):
-        wpart = max(
-            wpart,
-            winf_radial(
-                _profile_radius_atoms(fam, j, a.heights[j]),
-                _profile_radius_atoms(fam, j, b.heights[j]),
-            ),
-        )
-        lpart = max(lpart, float(np.abs(a.heights[j] - b.heights[j]).max()))
-    return wpart + lpart
 
 
 def _materialize(state: _RadialState, spec: GridSpec) -> GridDensity:
@@ -301,8 +266,8 @@ def _materialize(state: _RadialState, spec: GridSpec) -> GridDensity:
 
 
 def _radial_phi(prob: ResolventProblem, state: _RadialState) -> float:
-    if prob.phi == "isop":
-        return _profile_isop(state)
+    """The Sobolev ratio of the materialized profile (the isoperimetric ratio
+    is read off the component terms of `_ComponentScores`)."""
     return sobolev_ratio(_materialize(state, prob.anchor.spec), prob.sobolev_r).value
 
 
@@ -337,7 +302,7 @@ class _ComponentScores:
         self.fam = fam
         self.anchor_heights = anchor_state.heights
         self.refs = [
-            radial_reference(_profile_radius_atoms(fam, j, h))
+            quantile_reference(_subring_radii(fam, j), _subring_weights(fam, j, h))
             for j, h in enumerate(anchor_state.heights)
         ]
         self.ladders = [
@@ -350,8 +315,8 @@ class _ComponentScores:
         component j against the anchor."""
         fam = self.fam
         tv, l2sq = _tv_l2(fam, j, rows)
-        w = quantile_gaps(_subring_radii(fam, j), _subring_weights(fam, j, rows), *self.refs[j])
-        return tv, l2sq, w, np.abs(rows - self.anchor_heights[j]).max(axis=-1)
+        _, gap = quantile_gaps(_subring_radii(fam, j), _subring_weights(fam, j, rows), *self.refs[j])
+        return tv, l2sq, gap.max(axis=-1), np.abs(rows - self.anchor_heights[j]).max(axis=-1)
 
     def fresh(self, j: int, h: np.ndarray):
         """(move rows, valid mask, terms of h, terms of the moves)."""
@@ -375,18 +340,31 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
     per-component arrays come from `_ComponentScores`, so a sweep computes
     them only for the component the previous sweep moved.  The moves are
     then taken in (component, ring, level) order, and the sweep keeps each
-    one that beats the best value so far by more than 1e-12.
+    one that beats the best value so far by more than 1e-12.  The step's
+    movement, and an isoperimetric phi, are read off the same stored terms
+    of the accepted state.
     """
     fam: RadialFamily = prob.family
     if anchor_state is None:
         anchor_state = _fit_anchor_profile(prob.anchor, fam)
-    phi_anchor = _radial_phi(prob, anchor_state)
+    score = _ComponentScores(fam, anchor_state)
+
+    def own_terms(state: _RadialState):
+        """(TV, squared L^2, radial bottleneck, L^inf gap) of the state's own
+        heights, each a tuple over the components."""
+        return zip(*(score(j, h)[2] for j, h in enumerate(state.heights)))
+
+    def phi_of(state: _RadialState) -> float:
+        if prob.phi == "isop":
+            tv, l2sq, _, _ = own_terms(state)
+            return float((sum(tv) / np.sqrt(sum(l2sq)))[0])
+        return _radial_phi(prob, state)
+
+    phi_anchor = phi_of(anchor_state)
     current = anchor_state
-    phi_cur = phi_anchor
-    best_phi_val = phi_cur  # Phi(anchor) = phi(anchor): distance term is 0
+    best_phi_val = phi_anchor  # Phi(anchor) = phi(anchor): distance term is 0
     evaluated = 1
     sweeps = 0
-    score = _ComponentScores(fam, anchor_state)
     while sweeps < fam.max_sweeps:
         sweeps += 1
         best_move = None
@@ -415,9 +393,11 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
             break
         current = best_move
         best_phi_val = best_val
-        phi_cur = _radial_phi(prob, current)
     out = _materialize(current, prob.anchor.spec)
-    move = _profile_distance(current, anchor_state)
+    # components keep their mass, so couplings stay component-wise
+    _, _, w, lgap = own_terms(current)
+    move = float(reduce(np.maximum, w)[0] + reduce(np.maximum, lgap)[0])
+    phi_cur = phi_of(current)
     diag = {
         "family": "radial",
         "rings": fam.rings,

@@ -15,6 +15,9 @@ optimality by the LP duals (u, v): reduced costs d^q - u - v >= 0 on all
 pairs and a zero duality gap, both to OPTIMALITY_TOL * max(1, max d^q).  The
 reported cost is re-evaluated from the returned plan in float, so it matches
 the plan to machine precision.
+
+The 1D oracle `monotone_1d` reads the monotone-coupling kernel
+`bottleneck.quantile_gaps` and shares its rounding-aware mass rule.
 """
 
 from __future__ import annotations
@@ -396,30 +399,21 @@ def wq_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) ->
 
 
 def monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
-    """Cost of the sorted (quantile) coupling; optimal on the line for q >= 1."""
+    """Cost of the sorted (quantile) coupling; optimal on the line for q >= 1.
+
+    It is (sum mass gap^q)^(1/q) over the segments of
+    `bottleneck.quantile_gaps`, with mu sorted as the row and nu as the
+    reference.
+    """
+    # bottleneck imports this module, so its kernel is looked up at call time
+    from .bottleneck import quantile_gaps, quantile_reference
+
     if mu.dim != 1 or nu.dim != 1:
         raise InputError("monotone coupling is 1-dimensional only")
     if q < 1 or math.isinf(q):
         raise InputError("need finite q >= 1")
     xs = np.argsort(mu.points[:, 0], kind="stable")
     ys = np.argsort(nu.points[:, 0], kind="stable")
-    cost = 0.0
-    i = j = 0
-    ra = mu.weights[xs[0]]
-    rb = nu.weights[ys[0]]
-    while True:
-        f = min(ra, rb)
-        cost += f * abs(mu.points[xs[i], 0] - nu.points[ys[j], 0]) ** q
-        ra -= f
-        rb -= f
-        if ra <= 1e-15:
-            i += 1
-            if i == len(xs):
-                break
-            ra = mu.weights[xs[i]]
-        if rb <= 1e-15:
-            j += 1
-            if j == len(ys):
-                break
-            rb = nu.weights[ys[j]]
-    return cost ** (1.0 / q)
+    ref = quantile_reference(nu.points[ys, 0], nu.weights[ys])
+    mass, gap = quantile_gaps(mu.points[xs, 0], mu.weights[xs], *ref)
+    return float((mass * gap**q).sum() ** (1.0 / q))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plqp import bottleneck
 from plqp._scaling import scale_pair
@@ -9,7 +11,7 @@ from plqp.bottleneck import (
     RadialMeasure,
     neighborhood_check,
     quantile_gaps,
-    radial_reference,
+    quantile_reference,
     winf,
     winf_grid,
     winf_many,
@@ -18,7 +20,7 @@ from plqp.bottleneck import (
 )
 from plqp.errors import InputError
 from plqp.measures import DiscreteMeasure, make_ramp_ball
-from plqp.transport import wq
+from plqp.transport import monotone_1d, wq
 
 from helpers import indicator_ball, square_grid
 
@@ -228,6 +230,23 @@ def test_radial_center_mismatch():
         winf_radial(a, b)
 
 
+@pytest.mark.parametrize(
+    "radii, weights",
+    [
+        ([0.1, 0.5], [1.0]),  # two radii, one weight
+        ([0.5], [0.5, 0.5]),
+        ([], []),
+        ([[0.1, 0.5]], [[0.5, 0.5]]),
+        ([0.1, np.nan], [0.5, 0.5]),
+        ([0.1, np.inf], [0.5, 0.5]),
+        ([0.1, 0.5], [np.nan, 1.0]),
+    ],
+)
+def test_radial_measure_rejects_malformed_input(radii, weights):
+    with pytest.raises(InputError):
+        RadialMeasure(np.zeros(2), np.array(radii), np.array(weights))
+
+
 def test_radial_agrees_with_winf_on_ramp_balls():
     # concentric ramp balls on a 24^2 grid: the monotone radial coupling
     # should agree with the exact bottleneck within 2h (coarse grid, so the
@@ -243,15 +262,19 @@ def test_radial_agrees_with_winf_on_ramp_balls():
 
 
 def merged_quantile_gap(radii, weights, ref_radii, ref_weights):
-    """Per-row reference: the merged quantile-grid formula on positive atoms."""
+    """Per-row reference: the merged quantile-grid formula on positive atoms,
+    over the level intervals longer than the rounding bound (n + m) eps of
+    n radii and m positive reference atoms."""
     ka, kb = weights > 0, ref_weights > 0
     ra, rb = radii[ka], ref_radii[kb]
     ca, cb = np.cumsum(weights[ka]), np.cumsum(ref_weights[kb])
     levels = np.union1d(ca, cb)
-    mids = np.concatenate([[levels[0] / 2], (levels[:-1] + levels[1:]) / 2])
+    lows = np.concatenate([[0.0], levels[:-1]])
+    mids = (lows + levels) / 2
     ia = np.minimum(np.searchsorted(ca, mids), len(ca) - 1)
     ib = np.minimum(np.searchsorted(cb, mids), len(cb) - 1)
-    return float(np.abs(ra[ia] - rb[ib]).max())
+    counts = levels - lows > (len(radii) + len(rb)) * np.finfo(float).eps
+    return float(np.abs(ra[ia] - rb[ib])[counts].max())
 
 
 def ring_profiles(rng, n, rings, sub, zero_first=False):
@@ -292,9 +315,61 @@ def test_quantile_gaps_match_merged_quantile_formula(case):
             rows[1:, -1] = 1e-20
             radii[-1] = 2.5
         nu = RadialMeasure(np.zeros(2), ref_radii, ref_w)
-        got = quantile_gaps(radii, rows, *radial_reference(nu))
+        got = quantile_gaps(radii, rows, *quantile_reference(nu.radii, nu.weights))[1].max(axis=1)
         want = [merged_quantile_gap(radii, w, nu.radii, nu.weights) for w in rows]
         np.testing.assert_array_equal(got, want)
+        if case == "short":
+            # the 2-ulp ring is below the rounding bound, so it is not
+            # scored: where it sits does not change any row's value
+            moved = np.append(nu.radii[:-1], nu.radii[-2])
+            ref = quantile_reference(moved, nu.weights)
+            np.testing.assert_array_equal(quantile_gaps(radii, rows, *ref)[1].max(axis=1), got)
+
+
+def dyadic(rng, k, unit=512):
+    """k positive multiples of 1/unit summing to 1 (exact at the 1e9 scale of
+    the bottleneck max-flow, since unit divides 1e9)."""
+    return (rng.multinomial(unit - k, np.full(k, 1.0 / k)) + 1) / unit
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_winf_radial_equals_winf_on_the_half_line(seed):
+    # dyadic weights make winf's integer capacities the true weights; the
+    # jittered copy differs from them by 1e-15 relative, which must not
+    # change the monotone coupling either
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 65)), int(rng.integers(1, 65))
+    x, y = np.sort(rng.uniform(0.0, 2.0, m)), np.sort(rng.uniform(0.0, 2.0, n))
+    wx, wy = dyadic(rng, m), dyadic(rng, n)
+    jitter = wy * (1 + 1e-15 * rng.uniform(-1, 1, n))
+    for xs, w, ys, v in ((x, wx, y, wy), (x, wx, y, jitter), (y, wy, y, jitter)):
+        exact = winf(DiscreteMeasure(xs[:, None], w), DiscreteMeasure(ys[:, None], v)).value
+        radial = winf_radial(RadialMeasure(np.zeros(2), xs, w), RadialMeasure(np.zeros(2), ys, v))
+        assert radial == pytest.approx(exact, abs=1e-15)
+
+
+# atoms on a 0.01 lattice in [-5, 5] with weights in 1..100 (renormalized),
+# so powers of the gaps neither underflow nor overflow up to q = 12
+ATOMS = st.lists(st.tuples(st.integers(-500, 500), st.integers(1, 100)), min_size=1, max_size=12)
+
+
+def lattice_measure(atoms):
+    points, weights = np.array(atoms, dtype=float).T
+    return DiscreteMeasure(points[:, None] / 100, weights / weights.sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ATOMS, ATOMS)
+def test_monotone_coupling_wq_is_monotone_in_q_and_below_winf(a, b):
+    mu, nu = lattice_measure(a), lattice_measure(b)
+    x, y = np.argsort(mu.points[:, 0]), np.argsort(nu.points[:, 0])
+    ref = quantile_reference(nu.points[y, 0], nu.weights[y])
+    top = quantile_gaps(mu.points[x, 0], mu.weights[x], *ref)[1].max()
+    values = [monotone_1d(mu, nu, q) for q in (1.0, 1.5, 2.0, 3.0, 6.0, 12.0)]
+    # equal up to rounding where the coupling moves every atom equally far
+    slack = 1e-12 * top
+    assert all(lo <= hi + slack for lo, hi in zip(values, values[1:]))
+    assert values[-1] <= top + slack
 
 
 def test_grid_quantization_bound_reported():

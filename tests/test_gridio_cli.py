@@ -324,6 +324,13 @@ def test_cli_oracle():
     assert payload["winf_vs_permutation_max_abs"] <= 1e-9
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_cli_oracle_needs_an_instance(instances):
+    # a pass on zero instances would be vacuous
+    rc, err = run_main("oracle", "--instances", instances)
+    assert rc == 2 and "--instances" in err, err
+
+
 # ---------------------------------------------------------------------------
 # malformed values: exit 2 (or a clean 0 / 3), never a traceback
 # ---------------------------------------------------------------------------
@@ -435,6 +442,42 @@ def test_cli_malformed_config_document(fuzz_dir):
         rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
         assert rc == 2, err
         assert_clean_exit(rc, err, out)
+    # a directory, and a file that is not UTF-8 text
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    for path in (fuzz_dir, cfg_path):
+        rc, err = run_main("mms", "--config", str(path), "--out", str(out))
+        assert rc == 2, err
+        assert_clean_exit(rc, err, out)
+
+
+# one ramp ball, one radial component
+ONE_BALL_CONFIG = dict(
+    GRID_CONFIG,
+    family={"kind": "radial", "centers": [[0.0, 0.0]], "outer_radii": [1.3], "rings": 4, "levels": 8},
+    tau=0.1,
+    steps=1,
+)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {},
+        {"outer_radii": [1.3, 1.3]},  # one center, two radii
+        {"centers": [[0.0, 0.0], [1.0, 1.0]]},  # two centers, one radius
+        {"centers": [[0.0, 0.0], [1.0, 1.0]], "outer_radii": [1.3, -0.5]},
+        {"outer_radii": [0.0]},
+    ],
+)
+def test_cli_mms_radial_family_shape(fuzz_dir, edit):
+    # the family's centers and outer radii must pair up, with positive radii
+    cfg = copy.deepcopy(ONE_BALL_CONFIG)
+    cfg["family"].update(edit)
+    cfg_path, out = fuzz_dir / "family.json", fuzz_dir / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
+    assert rc == (0 if not edit else 2), err
+    assert_clean_exit(rc, err, out)
 
 
 GRID_PARTS = ["dim", "shape", "h", "origin", "value", "row"]

@@ -1,22 +1,30 @@
 """Exact bottleneck (infinity-Wasserstein) distance between discrete measures.
 
-The value is found by binary search over the sorted distinct pairwise
-distances; feasibility at a candidate threshold eps is decided by an integer
-max-flow on the bipartite graph restricted to edges with d <= eps.  This
-realizes the neighborhood characterization
+The value is searched over the sorted distinct pairwise distances;
+feasibility at a candidate threshold eps is decided by an integer max-flow on
+the bipartite graph restricted to edges with d <= eps.  This realizes the
+neighborhood characterization
     inf { eps >= 0 : mu(A) <= nu(A_eps) for all A }
 exactly on finite supports: the returned value is always one of the pairwise
 distances and comes with a feasible witness plan attaining it.
 
+The search starts at the nearest-neighbour bound L, the largest distance from
+any atom of either side to its nearest atom of the other side.  A single atom
+with no partner within eps < L violates the condition above (every weight is
+positive, and so is every integer capacity), so no smaller threshold is
+tried.  From L the search gallops, testing L and the thresholds 1, 3, 7, ...
+places above it, up to the diameter, then bisects between its last
+infeasible and its first feasible threshold.
+
 `winf_many` searches many instances in lockstep, and `winf` is a batch of
 one.  Each step runs one max-flow on the disjoint union of every unfinished
-instance's threshold graph, each instance at its own midpoint, all sharing
-the source and the sink.  An instance is feasible at its threshold iff the
-flow on its own source edges carries its whole total; the union's flow value
-is never read, since it sums the instances and can exceed 2^31.  Blocks share
-no edge, so each instance is decided exactly as when it runs alone and sees
-the same thresholds; its witness is its block's flow at its last feasible
-step.
+instance's threshold graph, each instance at its own next threshold, all
+sharing the source and the sink.  An instance is feasible at its threshold
+iff the flow on its own source edges carries its whole total; the union's
+flow value is never read, since it sums the instances and can exceed 2^31.
+Blocks share no edge, so each instance is decided exactly as when it runs
+alone and sees the same thresholds; its witness is its block's flow at its
+last feasible step, which is its optimal threshold.
 
 Weights are scaled to integers with totals of 1e9 (the 32-bit max-flow
 backend wraps above 2^31).  The capacities then differ from the float
@@ -36,7 +44,6 @@ line, read by `winf_radial`, the radial scheme sweeps and
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -47,7 +54,7 @@ from scipy.sparse.csgraph import maximum_flow
 from ._scaling import scale_pair
 from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
-from .transport import Coupling, _batches, _pairwise_distances
+from .transport import Coupling, _assignments, _batches, _pairwise_distances
 
 MAX_ATOMS_DEFAULT = 5_000
 # atom pairs (m x n, summed over instances) per lockstep batch of `winf_many`.
@@ -90,15 +97,43 @@ class BottleneckResult:
 
 
 class _Search:
-    """Bisection state of one instance over its sorted distinct distances."""
+    """Search state of one instance over its sorted distinct distances.
+
+    Every threshold index below `lo` is infeasible; `hi` is the last index
+    found feasible, or the diameter's while none is.  `probe` is the next
+    index to test.  The search gallops from the nearest-neighbour bound
+    while `stride` is positive and bisects [lo, hi] once a step is feasible.
+    """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         self.D = _pairwise_distances(mu, nu)
         self.a, self.b, self.total = scale_pair(mu.weights, nu.weights)
         self.values = np.unique(self.D)
-        self.lo, self.hi = 0, len(self.values) - 1
+        # below the nearest-neighbour bound some single atom has no partner
+        # within eps: a Hall violator for the float and the integer weights
+        bound = max(self.D.min(axis=1).max(), self.D.min(axis=0).max())
+        self.lo, self.hi = int(np.searchsorted(self.values, bound)), len(self.values) - 1
+        self.probe, self.stride = self.lo, 1
         self.witness: Coupling | None = None  # the flow of the last feasible step
         self.thresholds = 0
+
+    def advance(self, feasible: bool) -> bool:
+        """Record the step at `probe` and choose the next; False once the
+        search has ended at `hi`."""
+        if feasible:
+            self.hi, self.stride = self.probe, 0
+        elif self.probe == len(self.values) - 1:
+            raise InputError("bottleneck instance infeasible at the diameter")
+        else:
+            self.lo = self.probe + 1
+        if self.stride:
+            # galloping: from the bound's index L the probes are L, L + 1,
+            # L + 3, L + 7, ... up to the diameter's
+            self.probe = min(self.probe + self.stride, self.hi)
+            self.stride *= 2
+            return True
+        self.probe = (self.lo + self.hi) // 2
+        return self.lo < self.hi
 
 
 def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
@@ -159,24 +194,17 @@ def _block_plan(flow, f: int, s: _Search) -> Coupling:
 
 
 def _lockstep(searches: list[_Search]) -> int:
-    """Bisect every instance's threshold in lockstep: one union max-flow per
-    step, each instance at its own midpoint.  An instance whose bisection
-    ends with no feasible step takes one more step at its last threshold, the
-    diameter, for a witness.  Returns the number of max-flow calls."""
+    """Run every instance's search in lockstep: one union max-flow per step,
+    each instance at its own probe, galloping up from its nearest-neighbour
+    bound and then bisecting.  Each instance's last feasible step is at its
+    optimal threshold, so its witness attains it.  Returns the number of
+    max-flow calls."""
     calls = 0
     pending = list(searches)
     while pending:
-        mids = [(s.lo + s.hi) // 2 for s in pending]
-        feasible = _union_flow(pending, [s.values[mid] for s, mid in zip(pending, mids)])
+        feasible = _union_flow(pending, [s.values[s.probe] for s in pending])
         calls += 1
-        for s, mid, ok in zip(pending, mids, feasible):
-            if ok:
-                s.hi = mid
-            elif s.lo == s.hi:
-                raise InputError("bottleneck instance infeasible at the diameter")
-            else:
-                s.lo = mid + 1
-        pending = [s for s in pending if s.lo < s.hi or s.witness is None]
+        pending = [s for s, ok in zip(pending, feasible) if s.advance(ok)]
     return calls
 
 
@@ -222,17 +250,9 @@ def winf_grid(f: GridDensity, g: GridDensity) -> BottleneckResult:
 
 def winf_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Min over permutations of the max matched distance; uniform, m <= 8."""
-    m = len(mu)
-    if m != len(nu) or m > 8:
-        raise InputError("oracle needs equal atom counts <= 8")
-    if np.abs(mu.weights - 1.0 / m).max() > 1e-12 or np.abs(nu.weights - 1.0 / m).max() > 1e-12:
-        raise InputError("oracle needs uniform weights")
+    P = _assignments(mu, nu)
     D = _pairwise_distances(mu, nu)
-    best = np.inf
-    for perm in itertools.permutations(range(m)):
-        worst = max(D[i, perm[i]] for i in range(m))
-        best = min(best, worst)
-    return float(best)
+    return float(D[np.arange(len(mu)), P].max(axis=1).min())
 
 
 def neighborhood_check(

@@ -414,15 +414,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     out_dir = getattr(args, "out", None) if args.command in DIR_COMMANDS else None
+    # a failed run removes only an output directory it created itself
+    created = bool(out_dir) and not Path(out_dir).exists()
     try:
         payload = args.func(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        if out_dir and Path(out_dir).exists():
+        if created:
             shutil.rmtree(out_dir, ignore_errors=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:
-        if out_dir and Path(out_dir).exists():
+        if created:
             shutil.rmtree(out_dir, ignore_errors=True)
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -383,19 +383,26 @@ def wq(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> TransportResult:
     return wq_many([(mu, nu)], q)[0]
 
 
-def wq_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
-    """Brute force over all assignments; uniform equal weights, m <= 8 only."""
+def _assignments(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """Every permutation of range(m), one per row, for the brute-force
+    oracles; they take uniform equal weights, m <= 8 only."""
     m = len(mu)
     if m != len(nu) or m > 8:
         raise InputError("oracle needs equal atom counts <= 8")
     if np.abs(mu.weights - 1.0 / m).max() > 1e-12 or np.abs(nu.weights - 1.0 / m).max() > 1e-12:
         raise InputError("oracle needs uniform weights")
+    return np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+
+
+def wq_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
+    """Brute force over all assignments; uniform equal weights, m <= 8 only."""
+    P = _assignments(mu, nu)
     Dq = _pairwise_distances(mu, nu) ** q
-    best = math.inf
-    for perm in itertools.permutations(range(m)):
-        cost = sum(Dq[i, perm[i]] for i in range(m)) / m
-        best = min(best, cost)
-    return best ** (1.0 / q)
+    # the row terms are added left to right, as a sum over one permutation
+    cost = 0.0
+    for i in range(len(mu)):
+        cost = cost + Dq[i, P[:, i]]
+    return float((cost / len(mu)).min()) ** (1.0 / q)
 
 
 def monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:

@@ -19,7 +19,8 @@ from plqp.bottleneck import (
     winf_radial,
 )
 from plqp.errors import InputError
-from plqp.measures import DiscreteMeasure, make_ramp_ball
+from plqp.instances import rectangle_split_instance
+from plqp.measures import DiscreteMeasure, make_ramp_ball, translate_curve
 from plqp.transport import monotone_1d, wq
 
 from helpers import indicator_ball, square_grid
@@ -59,7 +60,10 @@ def test_mass_splitting_sequence(j):
     # narrow and uniform-transport convergence
     mu = DiscreteMeasure([[0.0], [1.0]], [1 - 1 / j, 1 / j])
     nu = DiscreteMeasure([[0.0]], [1.0])
-    assert winf(mu, nu).value == pytest.approx(1.0, abs=TOL)
+    res = winf(mu, nu)
+    assert res.value == pytest.approx(1.0, abs=TOL)
+    # the optimum is the diameter, which is also the nearest-neighbour bound
+    assert res.threshold_index == 1 and res.stats.thresholds == 1
     assert wq(mu, nu, 1.0).cost == pytest.approx(1.0 / j, abs=TOL)
 
 
@@ -128,6 +132,66 @@ def test_winf_many_matches_singleton_winf():
         assert res.stats.batch == len(pairs)
     # lockstep: the batch ran as many max-flows as its longest search
     assert many[0].stats.maxflows == max(r.stats.thresholds for r in many)
+
+
+def full_range_bisection(mu, nu):
+    """Reference search: bisection over every distinct distance from index
+    0, one `_union_flow` per step.  Returns the optimal threshold index and
+    the flow of the last feasible step."""
+    s = bottleneck._Search(mu, nu)
+    lo, hi = 0, len(s.values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bottleneck._union_flow([s], [s.values[mid]])[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    if s.witness is None:
+        assert bottleneck._union_flow([s], [s.values[hi]])[0]
+    return hi, s.witness
+
+
+# atoms on a coarse integer lattice (many tied distances) with weights 1..50
+SIDE = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 50)),
+                min_size=1, max_size=12)
+
+
+def side_measure(atoms, points=None):
+    xs, ys, w = np.array(atoms, dtype=float).T
+    pts = np.column_stack([xs, ys]) if points is None else points
+    w = np.resize(w, len(pts))
+    return DiscreteMeasure(pts, w / w.sum())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(SIDE, SIDE, st.booleans())
+def test_search_matches_full_range_bisection(a, b, coincident):
+    mu = side_measure(a)
+    # coincident supports with other weights: the nearest-neighbour bound is 0
+    nu = side_measure(b, mu.points if coincident else None)
+    res = winf(mu, nu)
+    idx, witness = full_range_bisection(mu, nu)
+    assert res.threshold_index == idx
+    assert res.value == np.unique(bottleneck._pairwise_distances(mu, nu))[idx]
+    for got, want in zip(
+        (res.witness_plan.src, res.witness_plan.dst, res.witness_plan.flow),
+        (witness.src, witness.dst, witness.flow),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_search_decides_at_the_bound_in_one_step():
+    # an integer-shifted ramp ball: its W_inf, the shift, is also the
+    # distance from its trailing atoms to their nearest shifted atoms
+    spec = square_grid(24, 4.8)
+    a = make_ramp_ball(spec, (0.0, 0.0), 0.9, 0.3, guard=0.02)
+    b = translate_curve(a, (2 * spec.h, 0.0), [0.0, 1.0]).densities[-1]
+    res = winf_grid(a, b)
+    assert res.value == pytest.approx(2 * spec.h, rel=1e-12)
+    assert res.stats.thresholds == 1
+    # the rectangle split: one 576 x 576 max-flow
+    res = winf_grid(*rectangle_split_instance(12))
+    assert res.stats.thresholds == 1
 
 
 def test_winf_many_batches_by_pair_count(monkeypatch):

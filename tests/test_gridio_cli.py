@@ -316,6 +316,32 @@ def test_cli_mms_bad_config_exit_2(tmp_path):
     assert not out.exists()
 
 
+def test_cli_failed_run_removes_only_an_out_dir_it_created(tmp_path, monkeypatch):
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    (keep / "notes.txt").write_text("mine\n")
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"anchor": {"kind": "nope"}}))
+    rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(keep))
+    assert rc == 2, err
+    assert (keep / "notes.txt").read_text() == "mine\n"
+    # a run that fails after writing its outputs: the directory it created
+    # goes, the one that was there stays with the user's file in it
+    grid = tmp_path / "ball.csv"
+    gridio.write_grid(make_ramp_ball(square_grid(12, 3.0), (0.0, 0.0), 0.9, 0.5, guard=0.05), grid)
+
+    def fail(out_dir):
+        raise InputError("manifest refused")
+
+    monkeypatch.setattr(cli, "_write_manifest", fail)
+    for out in (tmp_path / "fresh", keep):
+        rc, err = run_main("curve", "--kind", "translate", "--grid", str(grid),
+                           "--param=0.125,0", "--times=0,1,2", "--out", str(out))
+        assert rc == 2 and "manifest refused" in err, err
+    assert not (tmp_path / "fresh").exists()
+    assert (keep / "notes.txt").read_text() == "mine\n"
+
+
 def test_cli_oracle():
     r = run_cli("oracle", "--instances", "8", "--seed", "3")
     assert r.returncode == 0

@@ -56,7 +56,14 @@ from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
 from .transport import Coupling, _assignments, _batches, _pairwise_distances
 
-MAX_ATOMS_DEFAULT = 5_000
+# atoms per side; PLQP_MAX_ATOMS overrides it.  Set from the budget of
+# transport.MAX_DENSE_ATOMS, about 5 s and 300 MB peak RSS per solve.  Peak
+# RSS grows with m x n, about 46 bytes per atom pair over an 82 MB
+# interpreter.  Measured on ramp-ball pairs (R = 0.5 against 0.5 or 0.6,
+# w = 0.2, grids of extent 2), one core of a 2-vCPU x86_64 VM: 2009 x 2010
+# atoms in 0.41 s at 267 MB, 1804 x 2604 in 0.52 s at 297 MB, 2472 x 3551 in
+# 3.4 s at 484 MB, 2828 x 4060 in 4.3 s at 608 MB.
+MAX_ATOMS_DEFAULT = 2_000
 # atom pairs (m x n, summed over instances) per lockstep batch of `winf_many`.
 # Random 2D pairs on one core of a 2-vCPU x86_64 VM, one search per pair ->
 # lockstep: 50 pairs of 25 0.146 -> 0.009 s, 20 of 10,000 0.30 -> 0.18 s;

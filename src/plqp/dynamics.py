@@ -15,8 +15,10 @@ the homogenized form: m = t f u with -1 <= u <= 1 and r = -1/t <= 0, so
 minimizing t is minimizing r subject to div(f u) + r rhs = 0, and the face
 norm is -1/r.  Phase 2 writes m = p - q with 0 <= p, q <= t f and picks,
 among momenta at that bound, the one of least total face speed
-sum (p_e + q_e) / f_e.  The per-cell Euclidean speed is assembled from face
-values afterwards.
+sum (p_e + q_e) / f_e.  Each phase is one cold solve through the HiGHS
+adapter `_highs.Model`, with HiGHS presolve on and its default tolerances
+(LP_OPTIONS); a phase 1 that HiGHS proves unbounded is no motion.  The
+per-cell Euclidean speed is assembled from face values afterwards.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
-from scipy.optimize import linprog
+# unused here but stays bound: perfbench/tracer.py patches it
+from scipy.optimize import linprog  # noqa: F401
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lsqr
 
+from . import _highs
 from .bottleneck import winf, winf_grid
 from .errors import InfeasibleError, InputError
 from .measures import (
@@ -45,6 +49,8 @@ from .transport import wq
 
 SUPPORT_EPS = 1e-12  # relative threshold separating support from splat dust
 DENSITY_FLOOR = 1e-9  # report v = m/f only where f >= this floor
+# HiGHS options of both sup-norm LPs: presolve on, default tolerances
+LP_OPTIONS = {"presolve": True}
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +175,13 @@ def _unroutable_mass(Da, rhs: np.ndarray, mass_unit: float) -> float:
     return 0.5 * float(np.abs(net).sum())
 
 
+def _solve(cost, col_lower, col_upper, A, b) -> _highs.Solution:
+    """min cost . x subject to A x = b and the column bounds, with
+    LP_OPTIONS."""
+    A = sparse.csc_array(A)
+    return _highs.Model(cost, col_lower, col_upper, A.indptr, A.indices, A.data, b, b, LP_OPTIONS).run()
+
+
 def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
     """Momentum of least face norm max_e |m_e| / f_e with Da m = rhs, and
     that norm.  Both LPs use box bounds only, no inequality rows.
@@ -181,24 +194,23 @@ def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
     nfa = len(fa)
     # phase 1, homogenized: m = t fa u with |u| <= 1 and r = -1/t <= 0, so
     # minimizing t is minimizing r subject to Da diag(fa) u + r rhs = 0.
-    # The cost is e_last (perfbench/tracer.py tells the phases apart by it).
     cost = np.zeros(nfa + 1)
     cost[-1] = 1.0
-    res = linprog(
+    sol = _solve(
         cost,
-        A_eq=sparse.hstack([Da @ sparse.diags(fa), sparse.csr_matrix(rhs[:, None])], format="csr"),
-        b_eq=np.zeros(len(rhs)),
-        bounds=np.array([(-1.0, 1.0)] * nfa + [(-np.inf, 0.0)]),
-        method="highs",
+        np.concatenate([np.full(nfa, -1.0), [-_highs.INF]]),
+        np.concatenate([np.ones(nfa), [0.0]]),
+        sparse.hstack([Da @ sparse.diags(fa), sparse.csr_matrix(rhs[:, None])], format="csr"),
+        np.zeros(len(rhs)),
     )
-    if res.status == 3:
+    if sol.unbounded:
         # r unbounded below: t = 0 moves rhs within the solver tolerance
         return np.zeros(nfa), 0.0
-    if res.status != 0:
-        raise InfeasibleError(f"sup-norm reconstruction failed: {res.message}")
-    r = float(res.x[-1])
+    if not sol.optimal:
+        raise InfeasibleError(f"sup-norm reconstruction failed: {sol.message}")
+    r = float(sol.x[-1])
     face_norm = -1.0 / r if r < 0.0 else 0.0
-    m1 = face_norm * fa * res.x[:-1]
+    m1 = face_norm * fa * sol.x[:-1]
     resid = float(np.linalg.norm(Da @ m1 - rhs))
     if r >= 0.0 or resid > _residual_bound(rhs):
         # r = 0, or an r that balances rhs only within the solver tolerance
@@ -212,15 +224,15 @@ def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
     # total face speed sum (p_e + q_e) / f_e to kill transverse wiggle
     cap = face_norm * (1.0 + 1e-9) * fa + 1e-15
     speed = 1.0 / fa
-    res2 = linprog(
+    sol2 = _solve(
         np.concatenate([speed, speed]),
-        A_eq=sparse.hstack([Da, -Da], format="csr"),
-        b_eq=rhs,
-        bounds=np.column_stack([np.zeros(2 * nfa), np.concatenate([cap, cap])]),
-        method="highs",
+        np.zeros(2 * nfa),
+        np.concatenate([cap, cap]),
+        sparse.hstack([Da, -Da], format="csr"),
+        rhs,
     )
-    if res2.status == 0:
-        return res2.x[:nfa] - res2.x[nfa:], face_norm
+    if sol2.optimal:
+        return sol2.x[:nfa] - sol2.x[nfa:], face_norm
     return m1, face_norm
 
 
@@ -232,7 +244,7 @@ def _solve_interval(spec, f0, f1, dt, norm):
     sum |m_e| / f_e under that bound.  On the 96^2 ramp ball translated at
     speed 0.25 of `test_reconstruct_translation_sup_norm_and_direction`,
     every interval has face norm 0.258887 and the largest cell sup-norm is
-    0.2608, with HiGHS presolve on (the default used here) and off alike.
+    0.2608, with HiGHS presolve on (LP_OPTIONS) and off alike.
     """
     rhs = (f0 - f1).ravel() / dt
     if abs(rhs.sum() * spec.cell_volume) > 1e-9:

@@ -3,13 +3,17 @@
 `wq_many` solves the transport linear program with HiGHS (Huangfu & Hall,
 Math. Prog. Comp. 2018), presolve off, on a restricted edge set grown by a
 sparse multiscale scheme (Schmitzer, JMIV 2016; Oberman & Ruan,
-arXiv:1509.03668); `wq` is a batch of one.  Instances of at most
-FULL_EDGE_PAIRS pairs solve the LP on all pairs, and several of them share one
+arXiv:1509.03668); `wq` is a batch of one.  Every LP goes through the HiGHS
+adapter `_highs.Model`, built column-wise: each edge column holds two ones,
+in its supply row and its demand row.  Instances of at most FULL_EDGE_PAIRS
+pairs solve the LP on all pairs, and several of them share one
 block-diagonal LP of at most BATCH_EDGES edges, since on LPs that small the
 solver's set-up costs more than the solve.  Larger instances, one at a time,
 first solve a coarser instance, binned onto a lattice, the same way; its plan
 and duals seed the edge set, and pricing rounds add pairs with negative
-reduced cost until none is left on all m x n pairs.  Each instance is certified
+reduced cost until none is left on all m x n pairs.  The rounds of one level
+add their pairs as columns to one HiGHS model, so each re-solve is
+warm-started from the last optimal basis.  Each instance is certified
 against the true float weights: the plan's marginals to MARGINAL_TOL, and
 optimality by the LP duals (u, v): reduced costs d^q - u - v >= 0 on all
 pairs and a zero duality gap, both to OPTIMALITY_TOL * max(1, max d^q).  The
@@ -27,9 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+# unused here but stays bound: perfbench/tracer.py patches it
+from scipy.optimize import linprog  # noqa: F401
 
+from . import _highs
 from .errors import InfeasibleError, InputError
 from .measures import DiscreteMeasure
 
@@ -108,7 +113,9 @@ class TransportStats:
     finest level's final edge count.  reduced_cost, gap: the certificate's
     worst negative reduced cost and duality gap, absolute.  batch: the
     instances that shared the finest level's LP (1 unless `wq_many` packed
-    it into a block-diagonal LP with others).
+    it into a block-diagonal LP with others).  simplex_iterations: HiGHS
+    simplex iterations summed over the finest level's solves (for a packed
+    instance, those of the shared LP).
     """
 
     lp_solves: tuple[int, ...]
@@ -116,6 +123,7 @@ class TransportStats:
     reduced_cost: float
     gap: float
     batch: int
+    simplex_iterations: int
 
     @property
     def levels(self) -> int:
@@ -150,40 +158,56 @@ def _certificate_bound(Cq: np.ndarray) -> float:
     return OPTIMALITY_TOL * max(1.0, float(Cq.max()))
 
 
+def _columns(src: np.ndarray, dst: np.ndarray, m: int):
+    """Bounds and compressed columns of the edges (src[k], dst[k]): column k
+    is a flow >= 0 with a 1 in supply row src[k] and in demand row m + dst[k]."""
+    k = len(src)
+    index = np.empty(2 * k, dtype=np.int32)
+    index[0::2] = src
+    index[1::2] = m + dst
+    return np.zeros(k), np.full(k, _highs.INF), np.arange(0, 2 * k + 1, 2), index, np.ones(2 * k)
+
+
+def _model(cost: np.ndarray, src: np.ndarray, dst: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> _highs.Model:
+    """The transport LP on the edges (src[k], dst[k]) with costs cost[k]."""
+    b = np.concatenate([wa, wb])
+    return _highs.Model(cost, *_columns(src, dst, len(wa)), b, b, LP_OPTIONS)
+
+
+def _run(model: _highs.Model, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Solve: the flows, the duals u, v of the supply and demand rows, and
+    the simplex iterations of this run."""
+    sol = model.run()
+    if not sol.optimal:
+        raise InfeasibleError(f"transport LP failed: {sol.message}")
+    return sol.x, sol.row_dual[:m], sol.row_dual[m:], sol.simplex_iterations
+
+
 def _solve_lp(
     cost: np.ndarray, src: np.ndarray, dst: np.ndarray, wa: np.ndarray, wb: np.ndarray
-) -> tuple[Coupling, np.ndarray, np.ndarray]:
+) -> tuple[Coupling, np.ndarray, np.ndarray, int]:
     """Transport LP via HiGHS on the edges (src[k], dst[k]) with costs
-    cost[k]: the plan and the duals u, v of the supply and demand rows."""
-    m, n, k = len(wa), len(wb), len(src)
-    cols = np.arange(k)
-    A = sparse.csr_matrix(
-        (np.ones(2 * k), (np.concatenate([src, m + dst]), np.concatenate([cols, cols]))),
-        shape=(m + n, k),
-    )
-    b = np.concatenate([wa, wb])
-    res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs", options=LP_OPTIONS)
-    if res.status != 0:
-        raise InfeasibleError(f"transport LP failed: {res.message}")
-    x = np.asarray(res.x)
+    cost[k]: the plan, the duals u, v of the supply and demand rows, and the
+    simplex iterations."""
+    m = len(wa)
+    x, u, v, iterations = _run(_model(cost, src, dst, wa, wb), m)
     keep = x > 0
-    duals = np.asarray(res.eqlin.marginals)
-    return Coupling(src[keep], dst[keep], x[keep], m, n), duals[:m], duals[m:]
+    return Coupling(src[keep], dst[keep], x[keep], m, len(wb)), u, v, iterations
 
 
 def _solve_blocks(
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> list[tuple[Coupling, np.ndarray, np.ndarray]]:
+) -> tuple[list[tuple[Coupling, np.ndarray, np.ndarray]], int]:
     """One LP for independent instances (Cq, wa, wb) on all their pairs: the
     instances are the diagonal blocks, each on its own rows and columns.
-    Returns each block's plan and duals."""
+    Returns each block's plan and duals, and the LP's simplex iterations."""
     rows = np.cumsum([0] + [len(wa) for _, wa, _ in blocks])
     cols = np.cumsum([0] + [len(wb) for _, _, wb in blocks])
     src = np.concatenate([np.repeat(np.arange(r, r + len(wa)), len(wb))
                           for r, (_, wa, wb) in zip(rows, blocks)])
     dst = np.concatenate([np.tile(np.arange(c, c + len(wb)), len(wa))
                           for c, (_, wa, wb) in zip(cols, blocks)])
-    plan, u, v = _solve_lp(
+    plan, u, v, iterations = _solve_lp(
         np.concatenate([Cq.ravel() for Cq, _, _ in blocks]),
         src,
         dst,
@@ -205,7 +229,7 @@ def _solve_blocks(
             v[cols[k] : cols[k + 1]],
         )
         for k, (_, wa, wb) in enumerate(blocks)
-    ]
+    ], iterations
 
 
 def _cells(pa: np.ndarray, pb: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +271,7 @@ def _cheapest(R: np.ndarray, k: int) -> np.ndarray:
 
 def _transport(
     Cq: np.ndarray, pa: np.ndarray, wa: np.ndarray, pb: np.ndarray, wb: np.ndarray, q: float
-) -> tuple[Coupling, np.ndarray, np.ndarray, tuple[int, ...], int]:
+) -> tuple[Coupling, np.ndarray, np.ndarray, tuple[int, ...], int, int]:
     """Optimal plan and duals for costs Cq by a multiscale restricted LP.
 
     Instances of at most FULL_EDGE_PAIRS pairs solve the LP on all pairs.
@@ -257,28 +281,40 @@ def _transport(
     cheapest pairs under the coarse duals.  Each round solves the LP on the
     edge set and adds each row's and column's most negative reduced costs
     Cq - u - v over all pairs; it stops once no pair outside the set is below
-    -OPTIMALITY_TOL * max(1, max Cq).  Returns the plan, the duals, the LP
-    solves per level (finest first) and the final edge count.
+    -OPTIMALITY_TOL * max(1, max Cq).  The rounds of a level grow one HiGHS
+    model by columns, so each re-solve starts from the last optimal basis.
+    Returns the plan (entries sorted by source, then target), the duals, the
+    LP solves per level (finest first), the final edge count and the simplex
+    iterations of this level's solves.
     """
     m, n = Cq.shape
     if m * n <= FULL_EDGE_PAIRS:
-        return (*_solve_blocks([(Cq, wa, wb)])[0], (1,), m * n)
+        [(plan, u, v)], iterations = _solve_blocks([(Cq, wa, wb)])
+        return plan, u, v, (1,), m * n, iterations
     ca, cb = _cells(pa, pb, max(m, n) // COARSE_RATIO)
     (qa, ma), (qb, mb) = _pool(ca, pa, wa), _pool(cb, pb, wb)
-    cplan, cu, cv, solves, _ = _transport(_distances(qa, qb) ** q, qa, ma, qb, mb, q)
+    cplan, cu, cv, solves, _, _ = _transport(_distances(qa, qb) ** q, qa, ma, qb, mb, q)
     support = np.zeros((len(qa), len(qb)), dtype=bool)
     support[cplan.src, cplan.dst] = True
     edges = support[ca][:, cb] | _cheapest(Cq - cu[ca][:, None] - cv[cb][None, :], LINE_EDGES)
     bound = _certificate_bound(Cq)
-    rounds = 0
+    src, dst = np.nonzero(edges)
+    model = _model(Cq[src, dst], src, dst, wa, wb)
+    rounds = iterations = 0
     while True:
-        src, dst = np.nonzero(edges)
-        plan, u, v = _solve_lp(Cq[src, dst], src, dst, wa, wb)
+        x, u, v, its = _run(model, m)
         rounds += 1
+        iterations += its
         R = Cq - u[:, None] - v[None, :]
         new = _cheapest(R, LINE_EDGES) & (R < -bound) & ~edges
         if not new.any():
-            return plan, u, v, (rounds, *solves), len(src)
+            order = np.lexsort((dst, src))
+            order = order[x[order] > 0]
+            plan = Coupling(src[order], dst[order], x[order], m, n)
+            return plan, u, v, (rounds, *solves), len(src), iterations
+        add_src, add_dst = np.nonzero(new)
+        model.add_cols(Cq[add_src, add_dst], *_columns(add_src, add_dst, m))
+        src, dst = np.concatenate([src, add_src]), np.concatenate([dst, add_dst])
         edges |= new
 
 
@@ -357,23 +393,26 @@ def wq_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> l
     costs = {k: _costs(*pairs[k], q) for k in small}
     out: list[TransportResult | None] = [None] * len(pairs)
 
-    def certify(k, D, Cq, plan, u, v, solves, edges, batch):
+    def certify(k, D, Cq, plan, u, v, solves, edges, batch, iterations):
         mu, nu = pairs[k]
         plan.check_marginals(mu, nu)
         neg, gap = check_optimality(Cq, plan, u, v, mu.weights, nu.weights)
-        stats = TransportStats(solves, edges, neg, gap, batch)
+        stats = TransportStats(solves, edges, neg, gap, batch, iterations)
         out[k] = TransportResult(_plan_cost(D, plan, q), q, plan, stats)
 
     for run in _batches([costs[k][1].size for k in small], BATCH_EDGES):
         ks = [small[i] for i in run]
         blocks = [(costs[k][1], pairs[k][0].weights, pairs[k][1].weights) for k in ks]
-        for k, (plan, u, v) in zip(ks, _solve_blocks(blocks)):
-            certify(k, *costs[k], plan, u, v, (1,), costs[k][1].size, len(ks))
+        solved, iterations = _solve_blocks(blocks)
+        for k, (plan, u, v) in zip(ks, solved):
+            certify(k, *costs[k], plan, u, v, (1,), costs[k][1].size, len(ks), iterations)
     for k, (mu, nu) in enumerate(pairs):
         if out[k] is None:
             D, Cq = _costs(mu, nu, q)
-            plan, u, v, solves, edges = _transport(Cq, mu.points, mu.weights, nu.points, nu.weights, q)
-            certify(k, D, Cq, plan, u, v, solves, edges, 1)
+            plan, u, v, solves, edges, iterations = _transport(
+                Cq, mu.points, mu.weights, nu.points, nu.weights, q
+            )
+            certify(k, D, Cq, plan, u, v, solves, edges, 1, iterations)
     return out
 
 

@@ -203,6 +203,19 @@ def test_winf_many_batches_by_pair_count(monkeypatch):
     assert [r.value for r in many] == [winf(a, b).value for a, b in pairs]
 
 
+def test_size_cap(monkeypatch):
+    # the default cap is MAX_ATOMS_DEFAULT atoms per side; PLQP_MAX_ATOMS moves it
+    monkeypatch.delenv("PLQP_MAX_ATOMS", raising=False)
+    cap = bottleneck.MAX_ATOMS_DEFAULT
+    line = np.arange(cap + 1, dtype=float)[:, None]
+    big = DiscreteMeasure(line, np.full(cap + 1, 1.0 / (cap + 1)))
+    one = DiscreteMeasure([[0.0]], [1.0])
+    with pytest.raises(InputError, match=f"PLQP_MAX_ATOMS={cap} atoms"):
+        winf(big, one)
+    monkeypatch.setenv("PLQP_MAX_ATOMS", str(cap + 1))
+    assert winf(big, one).value == cap
+
+
 def test_winf_dominates_finite_q():
     rng = np.random.default_rng(103)
     for _ in range(15):

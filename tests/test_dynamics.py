@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from plqp import dynamics
+from plqp import _highs, dynamics
 from plqp.bottleneck import winf_grid
 from plqp.dynamics import (
     PathEnsemble,
@@ -190,14 +190,17 @@ def test_reconstruct_translation_sup_norm_without_presolve(monkeypatch):
     # the phase-2 vertex, and so the cell sup-norm, must not hinge on a
     # solver default: the same bounds hold with HiGHS presolve off
     calls = []
+    run = _highs.Model.run
 
-    def no_presolve(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, options={"presolve": False}, **kwargs)
+    def counted(model):
+        calls.append(model)
+        return run(model)
 
-    monkeypatch.setattr(dynamics, "linprog", no_presolve)
+    monkeypatch.setattr(dynamics, "LP_OPTIONS", {"presolve": False})
+    monkeypatch.setattr(_highs.Model, "run", counted)
     check_translation_sup_norm_and_direction()
     assert len(calls) == 10  # two LPs per interval
+    assert all(m._highs.getOptionValue("presolve")[1] == "off" for m in calls)
 
 
 def test_reconstruct_l2_direction_on_bulk():
@@ -298,6 +301,53 @@ def test_sup_norm_phase1_matches_inequality_row_oracle():
         rec = reconstruct_velocity(Trajectory((0.0, dt), (f0, f1)), "linf")
         assert rec.face_norms[0] == face_norm
         assert rec.residuals[0] <= 1e-9
+
+
+def linprog_phases(Da, fa, rhs):
+    """Oracle: both sup-norm LPs as `linprog` solves them, built the way
+    `_sup_norm_momentum` states them."""
+    nfa = len(fa)
+    cost = np.zeros(nfa + 1)
+    cost[-1] = 1.0
+    res1 = linprog(
+        cost,
+        A_eq=sparse.hstack([Da @ sparse.diags(fa), sparse.csr_matrix(rhs[:, None])], format="csr"),
+        b_eq=np.zeros(len(rhs)),
+        bounds=np.array([(-1.0, 1.0)] * nfa + [(-np.inf, 0.0)]),
+        method="highs",
+    )
+    cap = -1.0 / res1.x[-1] * (1.0 + 1e-9) * fa + 1e-15
+    speed = 1.0 / fa
+    res2 = linprog(
+        np.concatenate([speed, speed]),
+        A_eq=sparse.hstack([Da, -Da], format="csr"),
+        b_eq=rhs,
+        bounds=np.column_stack([np.zeros(2 * nfa), np.concatenate([cap, cap])]),
+        method="highs",
+    )
+    return res1, res2
+
+
+def test_sup_norm_phases_match_linprog(monkeypatch):
+    # the adapter runs each phase as linprog(method="highs") would, bit for bit
+    runs = []
+    run = _highs.Model.run
+
+    def recorded(model):
+        runs.append(run(model))
+        return runs[-1]
+
+    monkeypatch.setattr(_highs.Model, "run", recorded)
+    for f0, f1, dt in oracle_pairs():
+        Da, fa, rhs = face_lp(f0, f1, dt)
+        runs.clear()
+        dynamics._sup_norm_momentum(Da, fa, rhs, f0.spec.cell_volume * dt)
+        assert len(runs) == 2
+        for sol, res in zip(runs, linprog_phases(Da, fa, rhs)):
+            assert sol.optimal and res.status == 0
+            np.testing.assert_array_equal(sol.x, res.x)
+            np.testing.assert_array_equal(sol.row_dual, res.eqlin.marginals)
+            assert sol.simplex_iterations == res.nit
 
 
 @pytest.mark.parametrize("swap", [0.1, 1e-6])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plqp
-from plqp import transport
+from plqp import _highs, transport
 from plqp.errors import InfeasibleError, InputError
 from plqp.measures import DiscreteMeasure
 from plqp.transport import (
@@ -164,7 +164,7 @@ def test_optimality_certificate_holds_and_rejects_perturbed_duals():
         q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         Cq = _pairwise_distances(a, b) ** q
         src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
-        plan, u, v = _solve_lp(Cq.ravel(), src, dst, a.weights, b.weights)
+        plan, u, v, _ = _solve_lp(Cq.ravel(), src, dst, a.weights, b.weights)
         neg, gap = check_optimality(Cq, plan, u, v, a.weights, b.weights)
         assert max(neg, gap) <= 1e-9 * max(1.0, Cq.max())
         # every row and column carries flow, so raising any one dual by 1e-6
@@ -185,8 +185,8 @@ def test_wq_raises_when_certificate_fails(monkeypatch):
     # 4 x 5 atoms: one LP on all pairs, whose perturbed duals reach the
     # final certificate unchanged
     def perturbed(cost, src, dst, wa, wb):
-        plan, u, v = _solve_lp(cost, src, dst, wa, wb)
-        return plan, u + 1e-6, v
+        plan, u, v, iterations = _solve_lp(cost, src, dst, wa, wb)
+        return plan, u + 1e-6, v, iterations
 
     monkeypatch.setattr(transport, "_solve_lp", perturbed)
     rng = np.random.default_rng(11)
@@ -243,10 +243,10 @@ def test_wq_many_certifies_each_block(monkeypatch):
 
     def perturbed(cost, src, dst, wa, wb):
         # raise the supply duals of the third block only
-        plan, u, v = _solve_lp(cost, src, dst, wa, wb)
+        plan, u, v, iterations = _solve_lp(cost, src, dst, wa, wb)
         u = u.copy()
         u[rows[2] : rows[3]] += 1e-6
-        return plan, u, v
+        return plan, u, v, iterations
 
     assert {r.stats.batch for r in wq_many(pairs, 2.0)} == {4}
     monkeypatch.setattr(transport, "_solve_lp", perturbed)
@@ -271,7 +271,7 @@ def full_edge_cost(mu, nu, q):
     D = _pairwise_distances(mu, nu)
     Cq = D**q
     src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
-    plan, _, _ = _solve_lp(Cq.ravel(), src, dst, mu.weights, nu.weights)
+    plan, _, _, _ = _solve_lp(Cq.ravel(), src, dst, mu.weights, nu.weights)
     return float(np.dot(plan.flow, Cq[plan.src, plan.dst])) ** (1 / q)
 
 
@@ -325,6 +325,51 @@ def test_multiscale_is_deterministic():
     assert one.cost == two.cost and one.stats == two.stats
     for field in ("src", "dst", "flow"):
         np.testing.assert_array_equal(getattr(one.plan, field), getattr(two.plan, field))
+
+
+def test_pricing_rounds_grow_one_model_per_level(monkeypatch):
+    # the degenerate W_1 lattice shift needs pricing rounds; each level's
+    # rounds re-run one HiGHS model grown by columns, from its last basis
+    mu, nu = lattice_shift(15, (1.0, 0.0))
+    models, runs = [], []
+    init, run = _highs.Model.__init__, _highs.Model.run
+
+    def counted_init(model, *args):
+        models.append(model)
+        init(model, *args)
+
+    def counted_run(model):
+        runs.append((model, run(model)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(_highs.Model, "__init__", counted_init)
+    monkeypatch.setattr(_highs.Model, "run", counted_run)
+    Cq = _pairwise_distances(mu, nu)
+    plan, u, v, solves, edges, iterations = transport._transport(
+        Cq, mu.points, mu.weights, nu.points, nu.weights, 1.0
+    )
+    assert solves[0] >= 2
+    assert len(models) == len(solves) and len(runs) == sum(solves)
+    assert iterations == sum(sol.simplex_iterations for model, sol in runs if model is models[-1])
+    assert np.all(np.diff(plan.src * len(nu) + plan.dst) > 0)
+    check_optimality(Cq, plan, u, v, mu.weights, nu.weights)
+    cost = float(np.dot(plan.flow, Cq[plan.src, plan.dst]))
+    monkeypatch.undo()
+    assert abs(cost - full_edge_cost(mu, nu, 1.0)) <= 1e-12 * cost
+
+
+def test_simplex_iterations_of_the_finest_level():
+    rng = np.random.default_rng(26)
+    pairs = [(random_measure(rng, 5), random_measure(rng, 6)) for _ in range(3)]
+    pairs.append((random_measure(rng, 60), random_measure(rng, 50)))
+    many = wq_many(pairs, 2.0)
+    # the three small pairs share one LP and report its iterations
+    assert len({r.stats.simplex_iterations for r in many[:3]}) == 1
+    assert all(r.stats.simplex_iterations > 0 for r in many)
+    a, b = pairs[0]
+    Cq = _pairwise_distances(a, b) ** 2.0
+    src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
+    assert wq(a, b, 2.0).stats.simplex_iterations == _solve_lp(Cq.ravel(), src, dst, a.weights, b.weights)[3]
 
 
 def test_small_instances_solve_on_all_pairs():

@@ -8,11 +8,17 @@ neighborhood characterization
 exactly on finite supports: the returned value is always one of the pairwise
 distances and comes with a feasible witness plan attaining it.
 
-The search starts at the nearest-neighbour bound L, the largest distance from
-any atom of either side to its nearest atom of the other side.  A single atom
-with no partner within eps < L violates the condition above (every weight is
-positive, and so is every integer capacity), so no smaller threshold is
-tried.  From L the search gallops, testing L and the thresholds 1, 3, 7, ...
+The search starts at the larger of two lower bounds.  The nearest-neighbour
+bound is the largest distance from any atom of either side to its nearest
+atom of the other side: a single atom with no partner within a smaller eps
+violates the condition above (every weight is positive, and so is every
+integer capacity).  The projected bound is the largest, over the axes, of the
+bottleneck distance between the projections of the two integer-weighted
+measures onto one axis, which the monotone coupling attains on the line
+(Champion, De Pascale & Juutinen, SIAM J. Math. Anal. 2008): a plan within
+a smaller eps would project to a coupling of the projections that beats it.
+On the line it is the optimum, so the first max-flow decides.  From the
+larger bound L the search gallops, testing L and the thresholds 1, 3, 7, ...
 places above it, up to the diameter, then bisects between its last
 infeasible and its first feasible threshold.
 
@@ -117,12 +123,35 @@ class _Search:
         self.a, self.b, self.total = scale_pair(mu.weights, nu.weights)
         self.values = np.unique(self.D)
         # below the nearest-neighbour bound some single atom has no partner
-        # within eps: a Hall violator for the float and the integer weights
-        bound = max(self.D.min(axis=1).max(), self.D.min(axis=0).max())
+        # within eps: a Hall violator for the float and the integer weights;
+        # below the projected bound no plan of the integer weights is feasible
+        bound = max(self.D.min(axis=1).max(), self.D.min(axis=0).max(), self._projected(mu, nu))
         self.lo, self.hi = int(np.searchsorted(self.values, bound)), len(self.values) - 1
         self.probe, self.stride = self.lo, 1
         self.witness: Coupling | None = None  # the flow of the last feasible step
         self.thresholds = 0
+
+    def _projected(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+        """The largest, over the axes, of the bottleneck distance between the
+        projections of the integer-weighted measures onto one axis.
+
+        A gap t on one axis is taken as `_distances` rounds it, sqrt(fl(t *
+        t)): that is at most every distance with that coordinate difference,
+        and nondecreasing in t.  So a plan feasible at a threshold projects
+        to a coupling of the projections whose gaps all lie within it, and
+        the monotone coupling of `quantile_gaps` minimizes the largest gap
+        on the line.  The weights are the `scale_pair` integers, whose
+        cumulative sums are exact in float, so the mass rule drops only
+        empty segments and the bound holds for the scaled problem that the
+        max-flow decides; the float weights can put it above that optimum.
+        """
+        bound = 0.0
+        for x, y in zip(mu.points.T, nu.points.T):
+            xs, ys = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+            ref = quantile_reference(y[ys], self.b[ys].astype(float))
+            t = quantile_gaps(x[xs], self.a[xs].astype(float), *ref)[1].max()
+            bound = max(bound, np.sqrt(t * t))
+        return bound
 
     def advance(self, feasible: bool) -> bool:
         """Record the step at `probe` and choose the next; False once the

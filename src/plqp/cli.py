@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed input, 3 solver infeasibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -342,7 +343,15 @@ def cmd_oracle(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `plqp` argument parser, built on the first call and reused by every
+    later one in the process.
+
+    Each subcommand's handler (`cmd_*`) is bound by `set_defaults(func=...)`
+    when the parser is built, so replacing a `cmd_*` attribute of this module
+    afterwards does not change what `main` runs.
+    """
     ap = argparse.ArgumentParser(prog="plqp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -418,7 +427,9 @@ def main(argv=None) -> int:
     created = bool(out_dir) and not Path(out_dir).exists()
     try:
         payload = args.func(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+        # an unwritable --out (a missing parent, a directory) is bad input too
+        _dump_json(payload, None if args.command in DIR_COMMANDS else getattr(args, "out", None))
+    except (InputError, OSError, json.JSONDecodeError, KeyError) as exc:
         if created:
             shutil.rmtree(out_dir, ignore_errors=True)
         print(f"error: {exc}", file=sys.stderr)
@@ -428,7 +439,6 @@ def main(argv=None) -> int:
             shutil.rmtree(out_dir, ignore_errors=True)
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    _dump_json(payload, None if args.command in DIR_COMMANDS else getattr(args, "out", None))
     return 0
 
 

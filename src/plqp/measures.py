@@ -138,7 +138,10 @@ def normalized_density(spec: GridSpec, raw: np.ndarray, guard: float = RENORM_GU
 class DiscreteMeasure:
     """Weighted point cloud with positive weights summing to 1.
 
-    Duplicate points (exact storage equality) are merged on construction.
+    Duplicate points (equal in every coordinate) are merged on construction.
+    One `np.lexsort` and a compare of adjacent rows look for them; only if
+    there is one does `np.unique` merge them, into its sorted order.  A cloud
+    without duplicates keeps its order and its bytes.
     """
 
     points: np.ndarray
@@ -151,6 +154,8 @@ class DiscreteMeasure:
             raise InputError("points/weights length mismatch")
         if pts.shape[0] == 0:
             raise InputError("empty support")
+        if pts.shape[1] == 0:
+            raise InputError("points need at least one coordinate")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise InputError("weights must be positive and finite")
         if not np.all(np.isfinite(pts)):
@@ -159,9 +164,10 @@ class DiscreteMeasure:
         if abs(total - 1.0) > 1e-6:
             raise InputError(f"weights sum {total} too far from 1")
         w = w / total
-        # merge storage-identical points
-        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-        if uniq.shape[0] != pts.shape[0]:
+        # merge duplicate points, found as equal neighbours in lexicographic order
+        rows = pts[np.lexsort(pts.T[::-1])]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+            uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
             merged = np.zeros(uniq.shape[0])
             np.add.at(merged, inverse.ravel(), w)
             pts, w = uniq, merged

@@ -242,13 +242,27 @@ def _cells(pa: np.ndarray, pb: np.ndarray, target: int) -> tuple[np.ndarray, np.
     # a cell volume of (box volume) / target, in logs so it cannot overflow
     side = math.exp((np.log(spread).sum() - math.log(target)) / len(spread)) if len(spread) else 1.0
     while True:
-        idx = np.floor((pts - lo) / side).astype(np.int64)
-        cells_a, ca = np.unique(idx[: len(pa)], axis=0, return_inverse=True)
-        cells_b, cb = np.unique(idx[len(pa) :], axis=0, return_inverse=True)
+        key = _lattice_key(np.floor((pts - lo) / side).astype(np.int64))
+        cells_a, ca = np.unique(key[: len(pa)], return_inverse=True)
+        cells_b, cb = np.unique(key[len(pa) :], return_inverse=True)
         if max(len(cells_a), len(cells_b)) <= target:
             break
         side *= 1.5
-    return ca.ravel(), cb.ravel()
+    return ca, cb
+
+
+def _lattice_key(idx: np.ndarray) -> np.ndarray:
+    """One int64 per row of lattice indices, ordered as the rows are in
+    lexicographic order, so that cells are numbered as `np.unique(idx,
+    axis=0)` numbers them.  Non-negative indices are flattened as they are;
+    indices that would not fit one int64 key (or that wrapped when they were
+    cast) are first replaced by their rank on their axis, which keeps the
+    order."""
+    dims = idx.max(axis=0) + 1
+    if idx.min() < 0 or math.prod(dims.tolist()) > np.iinfo(np.int64).max:
+        idx = np.stack([np.unique(x, return_inverse=True)[1] for x in idx.T], axis=1)
+        dims = idx.max(axis=0) + 1
+    return np.ravel_multi_index(tuple(idx.T), dims)
 
 
 def _pool(cell: np.ndarray, p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -194,6 +194,77 @@ def test_search_decides_at_the_bound_in_one_step():
     assert res.stats.thresholds == 1
 
 
+def lattice_side(dim):
+    """Atoms on a coarse integer lattice (many tied distances) with weights
+    1..50, as rows (coordinates..., weight)."""
+    cell = st.tuples(*[st.integers(0, 4)] * dim, st.integers(1, 50))
+    return st.lists(cell, min_size=1, max_size=12)
+
+
+def lattice_cloud(atoms):
+    rows = np.array(atoms, dtype=float)
+    return DiscreteMeasure(rows[:, :-1], rows[:, -1] / rows[:, -1].sum())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3]).flatmap(lambda d: st.tuples(lattice_side(d), lattice_side(d))))
+def test_search_matches_full_range_bisection_in_1d_and_3d(sides):
+    mu, nu = (lattice_cloud(side) for side in sides)
+    res = winf(mu, nu)
+    idx, witness = full_range_bisection(mu, nu)
+    assert res.threshold_index == idx
+    assert res.value == np.unique(bottleneck._pairwise_distances(mu, nu))[idx]
+    for got, want in zip(
+        (res.witness_plan.src, res.witness_plan.dst, res.witness_plan.flow),
+        (witness.src, witness.dst, witness.flow),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(lattice_side(d), lattice_side(d))))
+def test_projected_bound_is_below_winf_and_exact_on_the_line(sides):
+    mu, nu = (lattice_cloud(side) for side in sides)
+    bound = bottleneck._Search(mu, nu)._projected(mu, nu)
+    res = winf(mu, nu)
+    assert bound <= res.value
+    if mu.dim == 1:
+        # the monotone coupling of the integer weights is optimal on the line
+        assert bound == res.value and res.stats.thresholds == 1
+
+
+def test_projected_bound_reads_the_scaled_weights():
+    # weights 1e-12 apart round to equal capacities, so the scaled optimum is
+    # 0; the float weights' monotone coupling would move 1e-12 by 10
+    mu = DiscreteMeasure([[0.0], [10.0]], [0.5 + 1e-12, 0.5 - 1e-12])
+    nu = DiscreteMeasure([[0.0], [10.0]], [0.5, 0.5])
+    assert bottleneck._Search(mu, nu)._projected(mu, nu) == 0.0
+    res = winf(mu, nu)
+    assert res.value == 0.0 and res.stats.thresholds == 1
+
+
+def test_projected_bound_rounds_as_the_distances_do():
+    # a gap of 1e-170 squares to 0, so its distance is 0: the bound must be
+    # the gap as the distances round it, not the gap itself
+    mu, nu = DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[1e-170]], [1.0])
+    assert bottleneck._Search(mu, nu)._projected(mu, nu) == 0.0
+    assert winf(mu, nu).value == winf_permutation_oracle(mu, nu) == 0.0
+
+
+def test_line_pairs_decide_in_one_max_flow():
+    rng = np.random.default_rng(108)
+    pairs = []
+    for _ in range(40):
+        m, n = rng.integers(1, 60, 2)
+        pairs.append((DiscreteMeasure(rng.uniform(0, 10, (m, 1)), rng.dirichlet(np.ones(m))),
+                      DiscreteMeasure(rng.normal(5, 3, (n, 1)), rng.dirichlet(np.ones(n)))))
+    many = winf_many(pairs)
+    assert many[0].stats.maxflows == 1
+    for res, (mu, nu) in zip(many, pairs):
+        assert res.stats.thresholds == 1
+        assert res.value == winf(mu, nu).value
+
+
 def test_winf_many_batches_by_pair_count(monkeypatch):
     rng = np.random.default_rng(107)
     pairs = [uniform_pair(rng, 4) for _ in range(5)]

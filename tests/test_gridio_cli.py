@@ -362,16 +362,22 @@ def test_cli_oracle_needs_an_instance(instances):
 # ---------------------------------------------------------------------------
 
 
-def run_main(*argv):
-    """cli.main in-process: (exit code, stderr).  An exception escaping
-    main fails the test with its traceback."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def main_output(*argv):
+    """cli.main in-process: (exit code, stdout, stderr).  An exception
+    escaping main fails the test with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(list(argv))
         except SystemExit as exc:  # argparse usage error
             rc = exc.code
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+def run_main(*argv):
+    """cli.main in-process: (exit code, stderr)."""
+    rc, _, err = main_output(*argv)
+    return rc, err
 
 
 @pytest.fixture(scope="module")
@@ -669,3 +675,89 @@ def test_cli_curve_malformed_guard_exits_2(fuzz_dir, guard):
                            f"--param={param}", "--times=0,1", f"--guard={guard}", "--out", str(out))
         assert rc == 2 and "--guard" in err
         assert_clean_exit(rc, err, out)
+
+
+# ---------------------------------------------------------------------------
+# an unwritable --out, and one parser for every call of main
+# ---------------------------------------------------------------------------
+
+
+def json_out_argv(cmd, fuzz_dir, out):
+    """A cheap successful run of a command whose --out is a JSON file."""
+    a, b = str(fuzz_dir / "a.csv"), str(fuzz_dir / "b.csv")
+    if cmd == "reconstruct":
+        traj = translate_curve(gridio.read_grid(a), (0.1875, 0.0), [0.0, 1.0])
+        manifest = gridio.save_trajectory(traj, fuzz_dir / "translate")
+        return ["reconstruct", "--manifest", str(manifest), "--norm", "l2", "--out", str(out)]
+    return {
+        "dist": ["dist", "--q", "2", "--p", "2", a, b, "--out", str(out)],
+        "isop": ["isop", a, "--out", str(out)],
+        "oracle": ["oracle", "--instances", "2", "--out", str(out)],
+    }[cmd]
+
+
+def dir_out_argv(cmd, fuzz_dir, out):
+    """A cheap run of a command whose --out is an artifact directory."""
+    a, b = str(fuzz_dir / "a.csv"), str(fuzz_dir / "b.csv")
+    if cmd == "mms":
+        cfg = out.parent / "cfg.json"
+        cfg.write_text(json.dumps({**GRID_CONFIG, "steps": 1}))
+        return ["mms", "--config", str(cfg), "--out", str(out)]
+    return {
+        "curve": ["curve", "--kind", "translate", "--grid", a, "--param=0.1875,0",
+                  "--times=0,1", "--out", str(out)],
+        "bb": ["bb", a, b, "--out", str(out)],
+    }[cmd]
+
+
+def assert_error_exit(rc, err):
+    assert rc == 2, err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["dist", "isop", "oracle", "reconstruct"])
+def test_cli_out_in_a_missing_directory_exits_2(tmp_path, fuzz_dir, cmd):
+    out = tmp_path / "missing" / "x.json"
+    rc, err = run_main(*json_out_argv(cmd, fuzz_dir, out))
+    assert_error_exit(rc, err)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cmd", ["dist", "isop", "oracle", "reconstruct"])
+def test_cli_out_that_is_a_directory_exits_2(tmp_path, fuzz_dir, cmd):
+    out = tmp_path / "some_dir"
+    out.mkdir()
+    rc, err = run_main(*json_out_argv(cmd, fuzz_dir, out))
+    assert_error_exit(rc, err)
+    assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cmd", ["mms", "curve", "bb"])
+def test_cli_out_directory_that_is_a_file_exits_2(tmp_path, fuzz_dir, cmd):
+    out = tmp_path / "existing_file"
+    out.write_text("mine\n")
+    rc, err = run_main(*dir_out_argv(cmd, fuzz_dir, out))
+    assert_error_exit(rc, err)
+    assert out.read_text() == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["existing_file"] + (["cfg.json"] if cmd == "mms" else [])
+    )
+
+
+def test_cli_parser_is_built_once_and_survives_failures(tmp_path, fuzz_dir):
+    assert cli.build_parser() is cli.build_parser()
+    dist = ["dist", "--q", "inf", "--p", "2", str(fuzz_dir / "a.csv"), str(fuzz_dir / "b.csv")]
+    rc, first, err = main_output(*dist)
+    assert rc == 0, err
+    swap = gridio.save_trajectory(two_ball_swap(0.1), tmp_path / "swap")
+    failures = [
+        (["dist", str(fuzz_dir / "a.csv")], 2),  # argparse: a missing positional
+        (["dist", "--q", "abc", str(fuzz_dir / "a.csv"), str(fuzz_dir / "b.csv")], 2),
+        (["reconstruct", "--manifest", str(swap), "--norm", "linf"], 3),
+    ]
+    for argv, code in failures:
+        rc, out, err = main_output(*argv)
+        assert rc == code and out == "" and "Traceback" not in err, err
+        rc, again, err = main_output(*dist)
+        assert rc == 0 and again == first, err
+    assert cli.build_parser() is cli.build_parser()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from plqp.errors import InputError
@@ -68,6 +70,46 @@ def test_discrete_measure_merges_duplicates():
     assert len(m) == 2
     i = int(np.argmin(m.points[:, 0]))
     assert m.weights[i] == pytest.approx(0.5, abs=1e-15)
+
+
+def unique_merge(pts, w):
+    """The merge by `np.unique(axis=0)` on every input: the reference for
+    the duplicate check of DiscreteMeasure."""
+    w = w / w.sum()
+    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+    if len(uniq) == len(pts):
+        return pts, w
+    merged = np.zeros(len(uniq))
+    np.add.at(merged, inverse.ravel(), w)
+    return uniq, merged
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 3),
+    cells=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+                             st.integers(1, 50)), min_size=1, max_size=20),
+    repeats=st.lists(st.integers(0, 19), max_size=4),
+)
+def test_discrete_measure_duplicate_merge_matches_unique(dim, cells, repeats):
+    # lattice points (often coinciding) and some rows forced to repeat, with
+    # their zeros as -0.0: -0.0 and 0.0 are one point
+    rows = np.array(cells, dtype=float)
+    again = rows[[r % len(rows) for r in repeats]]
+    rows = np.concatenate([rows, np.where(again == 0, -0.0, again)])
+    pts, w = rows[:, :dim] * 0.5, rows[:, 3]
+    m = DiscreteMeasure(pts, w / w.sum())
+    want_pts, want_w = unique_merge(pts, w / w.sum())
+    assert m.points.tobytes() == want_pts.tobytes()
+    assert m.weights.tobytes() == want_w.tobytes()
+    if len(np.unique(pts, axis=0)) == len(pts):
+        # no duplicate: the input order is kept
+        assert m.points.tobytes() == pts.tobytes()
+
+
+def test_discrete_measure_needs_a_coordinate():
+    with pytest.raises(InputError, match="coordinate"):
+        DiscreteMeasure(np.zeros((3, 0)), np.full(3, 1 / 3))
 
 
 def test_discrete_measure_rejects_nonpositive_weights():

@@ -327,6 +327,44 @@ def test_multiscale_is_deterministic():
         np.testing.assert_array_equal(getattr(one.plan, field), getattr(two.plan, field))
 
 
+def unique_cells(pa, pb, target):
+    """`transport._cells` with every lattice numbered by `np.unique(axis=0)`:
+    the reference for its flat keys."""
+    pts = np.concatenate([pa, pb])
+    lo = pts.min(axis=0)
+    extent = pts.max(axis=0) - lo
+    spread = extent[extent > 0]
+    side = math.exp((np.log(spread).sum() - math.log(target)) / len(spread)) if len(spread) else 1.0
+    while True:
+        with np.errstate(invalid="ignore"):
+            idx = np.floor((pts - lo) / side).astype(np.int64)
+        cells_a, ca = np.unique(idx[: len(pa)], axis=0, return_inverse=True)
+        cells_b, cb = np.unique(idx[len(pa) :], axis=0, return_inverse=True)
+        if max(len(cells_a), len(cells_b)) <= target:
+            return ca.ravel(), cb.ravel()
+        side *= 1.5
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+def test_cells_number_as_unique_rows():
+    rng = np.random.default_rng(22)
+    clouds = []
+    for dim in (1, 2, 3):
+        for _ in range(20):
+            m, n = rng.integers(2, 400, 2)
+            scale = 10.0 ** rng.uniform(-3, 3, dim)
+            clouds.append((rng.uniform(0, 1, (m, dim)) * scale, rng.normal(0, 1, (n, dim)) * scale))
+    # so anisotropic that the indices of one axis wrap when cast to int64 (2D)
+    # or their product overflows one int64 key (3D): numbered by axis ranks
+    for scale in ([1.0, 1e-40], [1.0, 1.0, 1e-30]):
+        clouds.append(tuple(rng.uniform(0, 1, (300, len(scale))) * scale for _ in "ab"))
+    for pa, pb in clouds:
+        target = max(len(pa), len(pb)) // transport.COARSE_RATIO
+        got, want = transport._cells(pa, pb, target), unique_cells(pa, pb, target)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_pricing_rounds_grow_one_model_per_level(monkeypatch):
     # the degenerate W_1 lattice shift needs pricing rounds; each level's
     # rounds re-run one HiGHS model grown by columns, from its last basis

@@ -224,9 +224,10 @@ def cmd_mms(args) -> dict:
         )
     prob = ResolventProblem(cfg.get("phi", "isop"), partition.steps[0], anchor, family)
     every = _integer(cfg.get("cross_check_every", 0), "cross_check_every", least=0)
-    sol = run_scheme(anchor, partition, prob, cross_check_every=every)
+    # an unusable --out fails before the solve, not after it
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    sol = run_scheme(anchor, partition, prob, cross_check_every=every)
     ledger = solution_ledger(sol)
     ledger["seed"] = seed
     (out_dir / "ledger.json").write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
@@ -239,6 +240,10 @@ def cmd_mms(args) -> dict:
 def cmd_bb(args) -> dict:
     a = gridio.read_grid(args.grid_a)
     b = gridio.read_grid(args.grid_b)
+    if args.out:
+        # an unusable --out fails before the solve, not after it
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     rep = bb_verify(a, b, steps=args.steps)
     payload = {
         "winf": rep.winf_value,
@@ -251,8 +256,6 @@ def cmd_bb(args) -> dict:
         "gap_tolerance_note": "gap is a grid quantity, O(h) for rigid pairs",
     }
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "bb_report.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )

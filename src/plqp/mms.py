@@ -12,11 +12,12 @@ reports family-relative minimality only:
   the distance are evaluated in profile space with continuum closed forms
   (ring-jump total variation, exact L^2/L^inf, monotone radial bottleneck),
   with periodic cross-checks against the grid bottleneck.  A sweep scores
-  all moves of one component at once: row sums for the closed forms and one
-  batched quantile-gap kernel against the anchor's cumulative weights; the
-  components that did not move contribute constants.  A component's moves
-  and their scores are computed once per distinct height profile in one
-  resolvent call, so a sweep re-scores only the component that last moved.
+  all moves of one component at once: row sums for the closed forms, the
+  components that did not move contributing constants, and one batched
+  quantile-gap kernel against the anchor's cumulative weights for the
+  radial bottleneck.  A component's moves and their scores are computed
+  once per distinct height profile in one resolvent call, so a sweep
+  re-scores only the component that last moved.
 * Grid local search: greedy first-improvement descent over quantum mass
   transfers between adjacent cells; the transport part of the distance is
   evaluated on coarse-binned atoms (sub-sampling factor recorded).  Within
@@ -26,8 +27,20 @@ reports family-relative minimality only:
   with the float operations of the coarse measure, so it is bit-identical
   to binning the state's atoms; no measure is built for a reused pair.
 
-Every reuse returns what a fresh computation returns, bit for bit, so the
-outputs do not depend on it.
+Both searches score bound first.  A candidate's value is
+    phi + (B + L)^2 / (2 tau)
+with B >= 0 the bottleneck term (the largest radial bottleneck over the
+components, or the coarse `winf`) and L the L^inf gap.  With B0 <= B known
+without computing B (the largest stored bottleneck of the components that
+did not move, or 0), phi + (B0 + L)^2 / (2 tau) is a lower bound in float
+too, since every rounded operation in it is monotone.  A candidate is kept
+only if its value is below the best so far less 1e-12, and the best only
+falls during a sweep or scan; so B is computed only for the candidates whose
+bound passes, and the search keeps the same candidates, with the same
+values, as scoring every one.
+
+Every reuse and every skip leaves the outputs bit for bit as a full scoring
+of every candidate would give them.
 
 The anchor is always candidate 0, so Phi(out) <= phi(anchor) holds by
 construction, and so do the telescoped dissipation inequalities.
@@ -38,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,10 +77,14 @@ SUBRINGS = 32  # sub-ring resolution used for the radial bottleneck
 # Largest grid the grid-family search accepts, set so that one scan of the
 # candidates stays within about 5 s.  A scan tries up to 4 moves per cell,
 # and a step rescans after each accepted move.  A scan that accepted no move
-# (ramp ball, quantum 1e-3, 8 coarse bins, one core of a 2-vCPU x86_64 VM)
-# took 0.28 s at 32^2 cells (688 candidates), 0.47 s at 48^2 (1,328) and
-# 0.62 s at 64^2 (1,792): about 0.3 ms per candidate, so all 4 * 4096 moves
-# of a 64^2 grid would take about 5 s.
+# (ramp ball R = 1, w = 0.6 on [-2, 2]^2, quantum 1e-3, 8 coarse bins, tau
+# 0.1 or 2, one core of a 2-vCPU x86_64 VM) took 0.07-0.11 s at 32^2 cells
+# (688 candidates), 0.19-0.23 s at 48^2 (1,328) and 0.31-0.34 s at 64^2
+# (1,792): about 0.18 ms per candidate, all of it phi and the L^inf gap, as
+# no candidate's bound passed and no coarse bottleneck was solved.  A scan
+# in which every bound passes solves them too, as scoring every candidate
+# did (0.48-0.56 s at 64^2, about 0.3 ms per candidate), so all 4 * 4096
+# moves of a 64^2 grid would take about 5 s.
 GRID_SEARCH_CELLS = 4096
 
 
@@ -200,55 +218,52 @@ class _RadialState:
         return _RadialState(self.family, heights)
 
 
-def _ring_areas(R: float, rings: int) -> np.ndarray:
-    edges = np.linspace(0.0, R, rings + 1)
-    return math.pi * np.diff(edges**2)
+class _Rings(NamedTuple):
+    """One component's ring partition: ring edges and areas, and the
+    sub-ring mid radii and areas that the radial bottleneck reads."""
+
+    edges: np.ndarray
+    areas: np.ndarray
+    sub_radii: np.ndarray
+    sub_areas: np.ndarray
 
 
-def _rescale_component(family: RadialFamily, j: int, h: np.ndarray) -> np.ndarray:
-    """Rescale height rows of component j to the component mass."""
-    mass = (h * _ring_areas(family.outer_radii[j], family.rings)).sum(axis=-1)
-    if np.any(mass <= 0):
+def _rings(fam: RadialFamily, j: int) -> _Rings:
+    R = fam.outer_radii[j]
+    edges = np.linspace(0.0, R, fam.rings + 1)
+    fine = np.linspace(0.0, R, fam.rings * SUBRINGS + 1)
+    return _Rings(
+        edges, math.pi * np.diff(edges**2), 0.5 * (fine[:-1] + fine[1:]), math.pi * np.diff(fine**2)
+    )
+
+
+def _rescale_component(mass: float, areas: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rescale height rows of a component with these ring areas to its mass."""
+    total = (h * areas).sum(axis=-1)
+    if np.any(total <= 0):
         raise InputError("component lost all mass")
-    return h * np.expand_dims(family.masses[j] / mass, -1)
+    return h * np.expand_dims(mass / total, -1)
 
 
 def _fit_anchor_profile(anchor: GridDensity, family: RadialFamily) -> _RadialState:
     pts = anchor.spec.centers()
     vol = anchor.spec.cell_volume
     heights = []
-    for j, (c, R) in enumerate(zip(family.centers, family.outer_radii)):
+    for j, c in enumerate(family.centers):
+        g = _rings(family, j)
         r = np.linalg.norm(pts - np.asarray(c), axis=-1)
-        edges = np.linspace(0.0, R, family.rings + 1)
-        areas = _ring_areas(R, family.rings)
         h = np.zeros(family.rings)
         for k in range(family.rings):
-            mask = (r >= edges[k]) & (r < edges[k + 1])
-            h[k] = anchor.values[mask].sum() * vol / areas[k]
-        heights.append(_rescale_component(family, j, h))
+            mask = (r >= g.edges[k]) & (r < g.edges[k + 1])
+            h[k] = anchor.values[mask].sum() * vol / g.areas[k]
+        heights.append(_rescale_component(family.masses[j], g.areas, h))
     return _RadialState(family, heights)
 
 
-def _tv_l2(fam: RadialFamily, j: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ring-jump total variation and squared L^2 norm of each height row of
-    component j (continuum closed forms of the piecewise-constant profile)."""
-    R = fam.outer_radii[j]
-    edges = np.linspace(0.0, R, fam.rings + 1)
-    tv = (np.abs(np.diff(h, axis=-1, append=0.0)) * 2 * math.pi * edges[1:]).sum(axis=-1)
-    l2sq = (h * h * _ring_areas(R, fam.rings)).sum(axis=-1)
-    return tv, l2sq
-
-
-def _subring_radii(fam: RadialFamily, j: int) -> np.ndarray:
-    fine_edges = np.linspace(0.0, fam.outer_radii[j], fam.rings * SUBRINGS + 1)
-    return 0.5 * (fine_edges[:-1] + fine_edges[1:])
-
-
-def _subring_weights(fam: RadialFamily, j: int, h: np.ndarray) -> np.ndarray:
-    """Normalized sub-ring radius marginal of each height row of component j
-    (zero entries kept, so every row lives on `_subring_radii`)."""
-    fine_edges = np.linspace(0.0, fam.outer_radii[j], fam.rings * SUBRINGS + 1)
-    w = np.repeat(h, SUBRINGS, axis=-1) * (math.pi * np.diff(fine_edges**2))
+def _subring_weights(g: _Rings, h: np.ndarray) -> np.ndarray:
+    """Normalized sub-ring radius marginal of each height row of a component
+    (zero entries kept, so every row lives on `g.sub_radii`)."""
+    w = np.repeat(h, SUBRINGS, axis=-1) * g.sub_areas
     return w / w.sum(axis=-1, keepdims=True)
 
 
@@ -271,78 +286,122 @@ def _radial_phi(prob: ResolventProblem, state: _RadialState) -> float:
     return sobolev_ratio(_materialize(state, prob.anchor.spec), prob.sobolev_r).value
 
 
-def _ring_moves(fam: RadialFamily, j: int, h: np.ndarray, ladder: np.ndarray):
-    """Every single-ring move of component j in (ring, level) order, rescaled
+def _ring_moves(g: _Rings, mass: float, h: np.ndarray, ladder: np.ndarray):
+    """Every single-ring move of a component in (ring, level) order, rescaled
     to the component mass, and the mask of the moves that count: a move must
     change the height and leave the component some mass.  Rows of the other
     moves hold `h` unchanged."""
-    ring = np.repeat(np.arange(fam.rings), len(ladder))
-    lev = np.tile(ladder, fam.rings)
+    ring = np.repeat(np.arange(len(h)), len(ladder))
+    lev = np.tile(ladder, len(h))
     rows = np.repeat(h[None, :], len(lev), axis=0)
     rows[np.arange(len(lev)), ring] = lev
-    valid = (lev != h[ring]) & ((rows * _ring_areas(fam.outer_radii[j], fam.rings)).sum(axis=1) > 0)
-    rows[valid] = _rescale_component(fam, j, rows[valid])
+    valid = (lev != h[ring]) & ((rows * g.areas).sum(axis=1) > 0)
+    rows[valid] = _rescale_component(mass, g.areas, rows[valid])
     rows[~valid] = h
     return rows, valid
 
 
-class _ComponentScores:
-    """What a sweep reads of one component, against one fixed anchor.
+class _Component:
+    """One component at one height profile h, against the resolvent's anchor.
 
-    For component j at heights h: its single-ring moves and their mask
-    (`_ring_moves`), and the per-row (TV, squared L^2, radial bottleneck,
-    L^inf gap) of h and of every move.  None of these depends on the other
-    components, and a sweep changes at most one component, so each is
-    computed once per distinct (j, h) and reused by later sweeps.  A Sobolev
-    phi depends on every component and is never stored here.  One instance
+    `rows` and `valid` are its single-ring moves and their mask
+    (`_ring_moves`); `own` is (TV, squared L^2, radial bottleneck, L^inf gap)
+    of h, each a one-element array.  Per move row: `tv`, `l2sq` and `lgap`
+    always, and the radial bottleneck `w` where a sweep asked for it, NaN
+    (not yet computed) elsewhere.
+    """
+
+    __slots__ = ("j", "rows", "valid", "own", "tv", "l2sq", "lgap", "w")
+
+    def __init__(self, j, rows, valid, own, tv, l2sq, lgap):
+        self.j, self.rows, self.valid, self.own = j, rows, valid, own
+        self.tv, self.l2sq, self.lgap = tv, l2sq, lgap
+        self.w = np.full(len(rows), np.nan)
+
+
+class _ComponentScores:
+    """What a sweep reads of each component, against one fixed anchor.
+
+    None of a `_Component`'s terms depends on the other components, and a
+    sweep changes at most one component, so each is built once per distinct
+    (j, h) and reused by later sweeps.  Building one computes the moves' row
+    sums (TV, squared L^2, L^inf gap); the radial bottleneck, a
+    `quantile_gaps` call, is computed only for the rows a sweep asks for and
+    then kept.  A Sobolev phi depends on every component and is never stored
+    here.  Each component's ring geometry is computed once.  One instance
     serves one resolvent call.
     """
 
     def __init__(self, fam: RadialFamily, anchor_state: _RadialState):
         self.fam = fam
         self.anchor_heights = anchor_state.heights
+        self.rings = [_rings(fam, j) for j in range(len(fam.masses))]
         self.refs = [
-            quantile_reference(_subring_radii(fam, j), _subring_weights(fam, j, h))
-            for j, h in enumerate(anchor_state.heights)
+            quantile_reference(g.sub_radii, _subring_weights(g, h))
+            for g, h in zip(self.rings, anchor_state.heights)
         ]
         self.ladders = [
             np.linspace(0.0, 1.5 * max(h.max(), 1e-12), fam.levels) for h in anchor_state.heights
         ]
-        self.scored: dict[tuple, tuple] = {}
+        self.scored: dict[tuple, _Component] = {}
 
-    def terms(self, j: int, rows: np.ndarray):
-        """Per-row (TV, squared L^2, radial bottleneck, L^inf gap) of
-        component j against the anchor."""
-        fam = self.fam
-        tv, l2sq = _tv_l2(fam, j, rows)
-        _, gap = quantile_gaps(_subring_radii(fam, j), _subring_weights(fam, j, rows), *self.refs[j])
-        return tv, l2sq, gap.max(axis=-1), np.abs(rows - self.anchor_heights[j]).max(axis=-1)
+    def row_sums(self, j: int, rows: np.ndarray):
+        """Per-row ring-jump total variation, squared L^2 norm (continuum
+        closed forms of the piecewise-constant profile) and L^inf gap to the
+        anchor of height rows of component j."""
+        g = self.rings[j]
+        tv = (np.abs(np.diff(rows, axis=-1, append=0.0)) * 2 * math.pi * g.edges[1:]).sum(axis=-1)
+        l2sq = (rows * rows * g.areas).sum(axis=-1)
+        return tv, l2sq, np.abs(rows - self.anchor_heights[j]).max(axis=-1)
 
-    def fresh(self, j: int, h: np.ndarray):
-        """(move rows, valid mask, terms of h, terms of the moves)."""
-        rows, valid = _ring_moves(self.fam, j, h, self.ladders[j])
-        return rows, valid, self.terms(j, h[None, :]), self.terms(j, rows)
+    def radial_bottleneck(self, j: int, rows: np.ndarray) -> np.ndarray:
+        g = self.rings[j]
+        _, gap = quantile_gaps(g.sub_radii, _subring_weights(g, rows), *self.refs[j])
+        return gap.max(axis=-1)
 
-    def __call__(self, j: int, h: np.ndarray):
+    def __call__(self, j: int, h: np.ndarray, own=None) -> _Component:
+        """Component j at heights h.  `own`, if given, holds the terms of h
+        already computed as a move row of another component entry."""
         key = (j, h.tobytes())
         if key not in self.scored:
-            self.scored[key] = self.fresh(j, h)
+            if own is None:
+                tv, l2sq, lgap = self.row_sums(j, h[None, :])
+                own = (tv, l2sq, self.radial_bottleneck(j, h[None, :]), lgap)
+            rows, valid = _ring_moves(self.rings[j], self.fam.masses[j], h, self.ladders[j])
+            self.scored[key] = _Component(j, rows, valid, own, *self.row_sums(j, rows))
         return self.scored[key]
+
+    def move_bottleneck(self, comp: _Component, idx: np.ndarray) -> np.ndarray:
+        """The radial bottleneck of the move rows idx of comp, computed for
+        the rows that do not have it yet."""
+        todo = idx[np.isnan(comp.w[idx])]
+        if len(todo):
+            comp.w[todo] = self.radial_bottleneck(comp.j, comp.rows[todo])
+        return comp.w[idx]
 
 
 def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None = None):
-    """Best-improvement sweeps over single-ring moves.
+    """Best-improvement sweeps over single-ring moves, bound first.
 
-    Each sweep scores all (ring, level) moves of one component as arrays:
-    ring-jump TV and L^2 as row sums, the L^inf height gap, and the radial
-    bottleneck as one `quantile_gaps` call against the anchor's cumulative
-    weights; the components that did not move contribute constants.  These
-    per-component arrays come from `_ComponentScores`, so a sweep computes
-    them only for the component the previous sweep moved.  The moves are
-    then taken in (component, ring, level) order, and the sweep keeps each
-    one that beats the best value so far by more than 1e-12.  The step's
-    movement, and an isoperimetric phi, are read off the same stored terms
-    of the accepted state.
+    Each sweep takes the components in order and forms, for all moves of
+    one component as arrays, phi (for an isoperimetric phi, from the TV and
+    L^2 row sums) and the L^inf gap L, the other components contributing
+    constants.  A move's value is phi + (B + L)^2 / (2 tau), with B the
+    largest radial bottleneck over the components; B is at least B0, the
+    largest stored bottleneck of the other components, and every float
+    operation is monotone, so phi + (B0 + L)^2 / (2 tau) bounds the value
+    below in float.  The sweep keeps each move, in (ring, level) order, that
+    beats the best value so far by more than 1e-12, and that value only
+    falls; so the bottleneck, one `quantile_gaps` call, is computed only for
+    the moves whose bound beats it when their component's turn starts.  The
+    sweep keeps exactly the moves, and the values, that scoring every move
+    would give.
+
+    The terms come from `_ComponentScores`, once per component profile.  An
+    accepted move passed its bound, so its stored terms become those of its
+    component's new profile.  `candidates_evaluated` counts every valid
+    move, bounded or scored.  The step's movement, and an isoperimetric phi,
+    are read off the stored terms of the accepted state.
     """
     fam: RadialFamily = prob.family
     if anchor_state is None:
@@ -352,7 +411,7 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
     def own_terms(state: _RadialState):
         """(TV, squared L^2, radial bottleneck, L^inf gap) of the state's own
         heights, each a tuple over the components."""
-        return zip(*(score(j, h)[2] for j, h in enumerate(state.heights)))
+        return zip(*(score(j, h).own for j, h in enumerate(state.heights)))
 
     def phi_of(state: _RadialState) -> float:
         if prob.phi == "isop":
@@ -367,31 +426,42 @@ def _radial_resolvent(prob: ResolventProblem, anchor_state: _RadialState | None 
     sweeps = 0
     while sweeps < fam.max_sweeps:
         sweeps += 1
-        best_move = None
+        best = None
         best_val = best_phi_val
         comps = [score(j, h) for j, h in enumerate(current.heights)]
-        fixed = [c[2] for c in comps]
-        for j, (rows, valid, _, moved) in enumerate(comps):
-            tv, l2sq, w, lgap = zip(*fixed[:j], moved, *fixed[j + 1 :])
+        for j, c in enumerate(comps):
+            before, after = [o.own for o in comps[:j]], [o.own for o in comps[j + 1 :]]
+            tv, l2sq, _, lgap = zip(*before, (c.tv, c.l2sq, None, c.lgap), *after)
             if prob.phi == "isop":
+                valid = c.valid
                 phi = sum(tv) / np.sqrt(sum(l2sq))
             else:
-                valid = valid.copy()  # later sweeps reuse the stored mask
-                phi = np.full(len(rows), np.nan)
+                valid = c.valid.copy()  # later sweeps reuse the stored mask
+                phi = np.full(len(c.rows), np.nan)
                 for r in np.flatnonzero(valid):
                     try:
-                        phi[r] = _radial_phi(prob, current.replace(j, rows[r]))
+                        phi[r] = _radial_phi(prob, current.replace(j, c.rows[r]))
                     except InputError:
                         valid[r] = False
-            vals = phi + (reduce(np.maximum, w) + reduce(np.maximum, lgap)) ** 2 / (2 * prob.tau)
             evaluated += int(valid.sum())
-            for r in np.flatnonzero(valid & (vals < best_val - 1e-12)):
-                if vals[r] < best_val - 1e-12:
-                    best_val = float(vals[r])
-                    best_move = current.replace(j, rows[r])
-        if best_move is None:
+            lgap = reduce(np.maximum, lgap)
+            w0 = reduce(np.maximum, [o[2] for o in before + after], 0.0)
+            bound = phi + (w0 + lgap) ** 2 / (2 * prob.tau)
+            idx = np.flatnonzero(valid & (bound < best_val - 1e-12))
+            if len(idx) == 0:
+                continue
+            w = np.maximum(w0, score.move_bottleneck(c, idx))
+            vals = phi[idx] + (w + lgap[idx]) ** 2 / (2 * prob.tau)
+            for r, val in zip(idx, vals):
+                if val < best_val - 1e-12:
+                    best_val = float(val)
+                    best = (c, r)
+        if best is None:
             break
-        current = best_move
+        c, r = best
+        moved = slice(r, r + 1)
+        score(c.j, c.rows[r], own=(c.tv[moved], c.l2sq[moved], c.w[moved], c.lgap[moved]))
+        current = current.replace(c.j, c.rows[r])
         best_phi_val = best_val
     out = _materialize(current, prob.anchor.spec)
     # components keep their mass, so couplings stay component-wise
@@ -474,7 +544,14 @@ class _CoarseBottleneck:
 
 def _grid_resolvent(prob: ResolventProblem, _state=None):
     """Greedy first-improvement descent over quantum transfers between
-    adjacent cells."""
+    adjacent cells, bound first.
+
+    A candidate's value is phi + (B + L)^2 / (2 tau), with B >= 0 the coarse
+    bottleneck and L the L^inf gap to the anchor.  Every float operation in
+    it is monotone, so phi + L^2 / (2 tau) bounds it below in float as well,
+    and a candidate whose bound is not below the current value less 1e-12
+    can never be accepted.  The coarse bottleneck is computed only for the
+    candidates whose bound passes; `candidates_evaluated` counts both."""
     fam: GridSearchFamily = prob.family
     spec = prob.anchor.spec
     if int(np.prod(spec.shape)) > GRID_SEARCH_CELLS:
@@ -482,9 +559,6 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
     vol = spec.cell_volume
     anchor = prob.anchor
     coarse_winf = _CoarseBottleneck(anchor, fam.coarse_bins)
-
-    def dist_to_anchor(g: GridDensity) -> float:
-        return coarse_winf(g) + lp_norm_diff(g, anchor, math.inf)
 
     cur = anchor.values.copy()
     phi_anchor = _grid_phi(prob, anchor)
@@ -515,7 +589,11 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
                     continue
                 try:
                     g = GridDensity(spec, cand)
-                    val = _grid_phi(prob, g) + dist_to_anchor(g) ** 2 / (2 * prob.tau)
+                    phi = _grid_phi(prob, g)
+                    gap = lp_norm_diff(g, anchor, math.inf)
+                    val = math.inf
+                    if phi + gap**2 / (2 * prob.tau) < cur_val - 1e-12:
+                        val = phi + (coarse_winf(g) + gap) ** 2 / (2 * prob.tau)
                 except InputError:
                     continue
                 evaluated += 1
@@ -537,7 +615,7 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
         "phi_anchor": phi_anchor,
         "phi_out": _grid_phi(prob, out),
     }
-    return out, None, float(cur_val), dist_to_anchor(out), diag
+    return out, None, float(cur_val), coarse_winf(out) + lp_norm_diff(out, anchor, math.inf), diag
 
 
 # ---------------------------------------------------------------------------

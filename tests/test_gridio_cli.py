@@ -733,9 +733,15 @@ def test_cli_out_that_is_a_directory_exits_2(tmp_path, fuzz_dir, cmd):
 
 
 @pytest.mark.parametrize("cmd", ["mms", "curve", "bb"])
-def test_cli_out_directory_that_is_a_file_exits_2(tmp_path, fuzz_dir, cmd):
+def test_cli_out_directory_that_is_a_file_exits_2(tmp_path, fuzz_dir, cmd, monkeypatch):
     out = tmp_path / "existing_file"
     out.write_text("mine\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the solve ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_scheme", never)
+    monkeypatch.setattr(cli, "bb_verify", never)
     rc, err = run_main(*dir_out_argv(cmd, fuzz_dir, out))
     assert_error_exit(rc, err)
     assert out.read_text() == "mine\n"

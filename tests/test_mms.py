@@ -244,7 +244,8 @@ def test_grid_search_reuses_exact_coarse_values(monkeypatch):
 
     monkeypatch.setattr(mms, "_CoarseBottleneck", Checked)
     out, val, diag = resolvent(prob)
-    assert len(used) > diag["candidates_evaluated"] > len(fresh)
+    # bound first: only candidates whose cheap bound can win are solved
+    assert diag["candidates_evaluated"] > len(used) > len(fresh)
     assert all(value == want for value, want in used)
     w = bottleneck.winf(mms._coarse(out, bins), anchor_coarse).value
     assert val == isop(out).value + (w + lp_norm_diff(out, mb, math.inf)) ** 2 / (2 * prob.tau)
@@ -332,20 +333,38 @@ def test_radial_sweeps_reuse_exact_component_scores(monkeypatch, phi):
 
         monkeypatch.setattr(mms, "_radial_phi", rejecting)
     reused = []
+    made = []
 
     class Checked(mms._ComponentScores):
-        def __call__(self, j, h):
-            hit = (j, h.tobytes()) in self.scored
-            got = super().__call__(j, h)
-            if hit:
-                rows, valid, fixed, moved = self.fresh(j, h)
-                np.testing.assert_array_equal(got[0], rows)
-                np.testing.assert_array_equal(got[1], valid)
-                for a, b in zip(got[2] + got[3], fixed + moved):
-                    np.testing.assert_array_equal(a, b)
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def __call__(self, j, h, own=None):
+            if (j, h.tobytes()) in self.scored:
                 reused.append(j)
-            return got
+            return super().__call__(j, h, own)
 
     monkeypatch.setattr(mms, "_ComponentScores", Checked)
     resolvent(prob)
     assert len(reused) > 0 and set(reused) <= {0, 1}
+    (score,) = made
+    computed = valid = 0
+    for (j, key), c in score.scored.items():
+        # every stored term equals a fresh computation, the seeded terms of
+        # an accepted move's profile included
+        h = np.frombuffer(key)
+        rows, mask = mms._ring_moves(score.rings[j], score.fam.masses[j], h, score.ladders[j])
+        np.testing.assert_array_equal(c.rows, rows)
+        np.testing.assert_array_equal(c.valid, mask)
+        tv, l2sq, lgap = score.row_sums(j, h[None, :])
+        for a, b in zip(c.own, (tv, l2sq, score.radial_bottleneck(j, h[None, :]), lgap)):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip((c.tv, c.l2sq, c.lgap), score.row_sums(j, rows)):
+            np.testing.assert_array_equal(a, b)
+        # the bottleneck, where a sweep computed it, is the full batch's
+        done = ~np.isnan(c.w)
+        np.testing.assert_array_equal(c.w[done], score.radial_bottleneck(j, rows)[done])
+        computed += int(done.sum())
+        valid += int(c.valid.sum())
+    assert 0 < computed < valid

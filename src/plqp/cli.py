@@ -2,9 +2,9 @@
 
 Commands read grid CSV files and JSON configs, and write JSON reports (and
 grid/ledger artifacts under an output directory).  Output is deterministic:
-identical inputs, config, and seed produce byte-identical JSON.  Seeds only
-affect candidate generation order in heuristic searches; the exact solvers
-ignore them.
+identical inputs, config, and seed produce byte-identical JSON.  No search
+reads a seed: `plqp mms` only records its seed in the ledger, and
+`plqp oracle` draws its random instances from its seed.
 
 Exit codes: 0 success, 2 malformed input, 3 solver infeasibility.
 """
@@ -96,11 +96,10 @@ def _parse_exponent(text: str) -> float:
 
 
 def _dump_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        gridio.write_json(out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(gridio.json_text(payload))
 
 
 def _sha256(path: Path) -> str:
@@ -114,7 +113,7 @@ def _write_manifest(directory: Path) -> None:
             {"path": str(p.relative_to(directory)), "sha256": _sha256(p)} for p in files
         ]
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    gridio.write_json(directory / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def cmd_mms(args) -> dict:
     sol = run_scheme(anchor, partition, prob, cross_check_every=every)
     ledger = solution_ledger(sol)
     ledger["seed"] = seed
-    (out_dir / "ledger.json").write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
+    gridio.write_json(out_dir / "ledger.json", ledger)
     for k, state in enumerate(sol.states):
         gridio.write_grid(state, out_dir / f"state_{k:04d}.csv")
     _write_manifest(out_dir)
@@ -256,9 +255,7 @@ def cmd_bb(args) -> dict:
         "gap_tolerance_note": "gap is a grid quantity, O(h) for rigid pairs",
     }
     if args.out:
-        (out_dir / "bb_report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        gridio.write_json(out_dir / "bb_report.json", payload)
         _write_manifest(out_dir)
     return payload
 
@@ -285,7 +282,7 @@ def cmd_curve(args) -> dict:
         "residual_l1": rep.l1_defect,
         "panel_version": rep.panel_version,
     }
-    (out_dir / "residuals.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    gridio.write_json(out_dir / "residuals.json", payload)
     _write_manifest(out_dir)
     return payload
 

@@ -42,6 +42,7 @@ from .measures import (
     GridSpec,
     Trajectory,
     VelocityField,
+    boundary_ring,
     coarse_measure,
     grid_to_atoms,
 )
@@ -58,79 +59,54 @@ LP_OPTIONS = {"presolve": True}
 # ---------------------------------------------------------------------------
 
 
-def _face_shapes(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Shapes of the interior-face arrays, one per axis."""
-    out = []
-    for ax in range(len(shape)):
-        s = list(shape)
-        s[ax] -= 1
-        out.append(tuple(s))
-    return out
+def _sides(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two cells of every interior face normal to `axis`: views of `a`
+    without its last and without its first slice along that axis."""
+    before = (slice(None),) * axis
+    return a[(*before, slice(None, -1))], a[(*before, slice(1, None))]
 
 
-def _divergence_matrix(spec: GridSpec) -> tuple[sparse.csr_matrix, list[tuple[int, ...]]]:
-    """Sparse divergence: cells x faces, (div m)_c = sum_axis (m_out - m_in)/h."""
-    shape = spec.shape
-    ncells = int(np.prod(shape))
-    fshapes = _face_shapes(shape)
-    cell_idx = np.arange(ncells).reshape(shape)
+def _divergence_matrix(spec: GridSpec) -> sparse.csr_matrix:
+    """Sparse divergence: cells x faces, (div m)_c = sum_axis (m_out - m_in)/h.
+
+    Faces are numbered axis by axis, each axis's faces in row-major order."""
+    ncells = int(np.prod(spec.shape))
+    cell_idx = np.arange(ncells).reshape(spec.shape)
     rows, cols, vals = [], [], []
     offset = 0
-    for ax, fs in enumerate(fshapes):
-        nf = int(np.prod(fs))
-        fid = offset + np.arange(nf).reshape(fs)
-        lo = [slice(None)] * len(shape)
-        hi = [slice(None)] * len(shape)
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        left = cell_idx[tuple(lo)].ravel()
-        right = cell_idx[tuple(hi)].ravel()
-        f = fid.ravel()
-        rows.extend([left, right])
+    for ax in range(spec.dim):
+        left, right = _sides(cell_idx, ax)
+        nf = left.size
+        f = offset + np.arange(nf)
+        rows.extend([left.ravel(), right.ravel()])
         cols.extend([f, f])
         vals.extend([np.full(nf, 1.0 / spec.h), np.full(nf, -1.0 / spec.h)])
         offset += nf
-    D = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ncells, offset),
     )
-    return D, fshapes
-
-
-def _split_faces(m: np.ndarray, fshapes) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for fs in fshapes:
-        nf = int(np.prod(fs))
-        out.append(m[offset : offset + nf].reshape(fs))
-        offset += nf
-    return out
 
 
 def _face_density(fbar: np.ndarray, axis: int) -> np.ndarray:
-    lo = [slice(None)] * fbar.ndim
-    hi = [slice(None)] * fbar.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (fbar[tuple(lo)] + fbar[tuple(hi)])
+    lo, hi = _sides(fbar, axis)
+    return 0.5 * (lo + hi)
 
 
-def _cell_vectors(mfaces: list[np.ndarray], fbar: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _cell_vectors(m: np.ndarray, faces: list[np.ndarray], spec: GridSpec) -> np.ndarray:
     """Per-face velocities v = m / f_face (0 below the density floor),
-    averaged onto cell centers."""
+    averaged onto cell centers.  `m` is the flat face vector and `faces` the
+    face densities, axis by axis."""
     v = np.zeros((*spec.shape, spec.dim))
-    for ax, mf in enumerate(mfaces):
-        fface = _face_density(fbar, ax)
+    cuts = np.cumsum([f.size for f in faces])[:-1]
+    for ax, (mf, fface) in enumerate(zip(np.split(m, cuts), faces)):
+        mf = mf.reshape(fface.shape)
         with np.errstate(invalid="ignore", divide="ignore"):
             vface = np.where(fface >= DENSITY_FLOOR, mf / np.maximum(fface, DENSITY_FLOOR), 0.0)
-        pad = [(0, 0)] * fbar.ndim
+        pad = [(0, 0)] * spec.dim
         pad[ax] = (1, 1)
-        vpad = np.pad(vface, pad)  # zero velocity outside
-        lo = [slice(None)] * fbar.ndim
-        hi = [slice(None)] * fbar.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        v[..., ax] = 0.5 * (vpad[tuple(lo)] + vpad[tuple(hi)])
+        lo, hi = _sides(np.pad(vface, pad), ax)  # zero velocity outside
+        v[..., ax] = 0.5 * (lo + hi)
     return v
 
 
@@ -251,9 +227,10 @@ def _solve_interval(spec, f0, f1, dt, norm):
         raise InfeasibleError("mass mismatch between consecutive densities")
     if not _support_compatible(f0, f1):
         raise InputError("consecutive supports differ by more than one cell")
-    D, fshapes = _divergence_matrix(spec)
+    D = _divergence_matrix(spec)
     fbar = 0.5 * (f0 + f1)
-    fface = np.concatenate([_face_density(fbar, ax).ravel() for ax in range(spec.dim)])
+    faces = [_face_density(fbar, ax) for ax in range(spec.dim)]
+    fface = np.concatenate([f.ravel() for f in faces])
     active = fface > 0
     Da = D[:, active]
     fa = fface[active]
@@ -272,8 +249,7 @@ def _solve_interval(spec, f0, f1, dt, norm):
         raise InputError(f"unknown norm {norm!r}; use 'l2' or 'linf'")
     m = np.zeros(D.shape[1])
     m[active] = ma
-    mfaces = _split_faces(m, fshapes)
-    vcell = _cell_vectors(mfaces, fbar, spec)
+    vcell = _cell_vectors(m, faces, spec)
     speed = np.linalg.norm(vcell, axis=-1)
     sup_norm = float(speed[fbar >= DENSITY_FLOOR].max()) if np.any(fbar >= DENSITY_FLOOR) else 0.0
     return vcell, sup_norm, face_norm, resid
@@ -326,7 +302,7 @@ def evolve(density0: GridDensity, field: VelocityField, times: list[float]) -> T
         raise InputError("field snapshots must align with requested times")
     f = density0.values.copy()
     densities = [density0]
-    ring = _boundary_ring(spec.shape)
+    ring = boundary_ring(spec.shape)
     leaked_total = 0.0
     for k in range(len(times) - 1):
         dt = times[k + 1] - times[k]
@@ -351,28 +327,16 @@ def evolve(density0: GridDensity, field: VelocityField, times: list[float]) -> T
     return Trajectory(times, tuple(densities), field)
 
 
-def _boundary_ring(shape) -> tuple:
-    mask = np.zeros(shape, bool)
-    for ax in range(len(shape)):
-        idx = [slice(None)] * len(shape)
-        idx[ax] = 0
-        mask[tuple(idx)] = True
-        idx[ax] = shape[ax] - 1
-        mask[tuple(idx)] = True
-    return mask
-
-
 def _upwind_step(f, v, dt, spec: GridSpec) -> np.ndarray:
     out = f.copy()
     for ax in range(spec.dim):
-        lo = [slice(None)] * spec.dim
-        hi = [slice(None)] * spec.dim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        vface = 0.5 * (v[(*lo, ax)] + v[(*hi, ax)])
-        flux = np.where(vface > 0, vface * f[tuple(lo)], vface * f[tuple(hi)])
-        out[tuple(lo)] -= dt / spec.h * flux
-        out[tuple(hi)] += dt / spec.h * flux
+        f_lo, f_hi = _sides(f, ax)
+        v_lo, v_hi = _sides(v[..., ax], ax)
+        vface = 0.5 * (v_lo + v_hi)
+        flux = np.where(vface > 0, vface * f_lo, vface * f_hi)
+        out_lo, out_hi = _sides(out, ax)
+        out_lo -= dt / spec.h * flux
+        out_hi += dt / spec.h * flux
     return out
 
 

@@ -90,6 +90,17 @@ def _read(kind: str, path: str | Path) -> tuple[GridSpec, np.ndarray]:
         raise InputError(f"{path}: values must be numbers") from None
 
 
+def json_text(payload) -> str:
+    """The JSON form of every report, ledger and manifest plqp writes:
+    two-space indent, sorted keys, a final newline; equal payloads, equal
+    bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, payload) -> None:
+    Path(path).write_text(json_text(payload))
+
+
 def write_grid(g: GridDensity, path: str | Path) -> None:
     _write("grid", g.spec, g.values, path)
 
@@ -126,7 +137,7 @@ def save_trajectory(traj: Trajectory, directory: str | Path, stem: str = "state"
             fentries.append({"time": t, "field": name})
         manifest["fields"] = fentries
     mpath = directory / f"{stem}_manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(mpath, manifest)
     return mpath
 
 

@@ -58,28 +58,18 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def __eq__(self, other):
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.shape == other.shape
-            and self.h == other.h
-            and self.origin == other.origin
-        )
 
-    def __hash__(self):
-        return hash((self.dim, self.shape, self.h, self.origin))
+def boundary_ring(shape: tuple[int, ...]) -> np.ndarray:
+    """Mask of the one-cell ring of boundary cells, which every grid density
+    keeps at zero (the compact-support surrogate)."""
+    mask = np.ones(shape, bool)
+    mask[(slice(1, -1),) * len(shape)] = False
+    return mask
 
 
 def _check_interior_support(values: np.ndarray) -> bool:
     """True iff every boundary-ring cell is zero."""
-    for axis in range(values.ndim):
-        first = np.take(values, 0, axis=axis)
-        last = np.take(values, values.shape[axis] - 1, axis=axis)
-        if np.any(first != 0) or np.any(last != 0):
-            return False
-    return True
+    return not values[boundary_ring(values.shape)].any()
 
 
 @dataclass(frozen=True)
@@ -111,9 +101,6 @@ class GridDensity:
     @property
     def mass(self) -> float:
         return float(self.values.sum() * self.spec.cell_volume)
-
-    def support_mask(self) -> np.ndarray:
-        return self.values > 0
 
 
 def normalized_density(spec: GridSpec, raw: np.ndarray, guard: float = RENORM_GUARD) -> GridDensity:
@@ -263,30 +250,25 @@ def grid_to_atoms(g: GridDensity) -> DiscreteMeasure:
     return DiscreteMeasure(centers, weights / weights.sum())
 
 
-def coarse_lattice(points: np.ndarray, spec: GridSpec, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bins^n lattice over the grid box: the flat (row-major) index of the
-    bin holding each point, and the centers of all bins in flat order."""
-    lo = np.asarray(spec.origin) - spec.h / 2
-    extent = spec.h * np.asarray(spec.shape)
-    cell = extent / bins
-    idx = np.clip(((points - lo) / cell).astype(int), 0, bins - 1)
-    flat = np.ravel_multi_index(tuple(idx.T), (bins,) * spec.dim)
-    centers = np.stack(np.unravel_index(np.arange(bins**spec.dim), (bins,) * spec.dim), axis=1)
-    return flat, lo + (centers + 0.5) * cell
-
-
 def coarse_measure(
     points: np.ndarray, weights: np.ndarray, spec: GridSpec, bins: int
 ) -> DiscreteMeasure:
     """Aggregate weighted points onto a bins^n lattice over the grid box.
 
     Used to keep exact transport solves affordable on large clouds; the
-    sub-sampling factor is bins relative to the grid shape.
+    sub-sampling factor is bins relative to the grid shape.  Each point goes
+    to the bin holding it (clipped into the box), and each occupied bin
+    becomes one atom at its center, in flat (row-major) bin order.
     """
-    flat, centers = coarse_lattice(points, spec, bins)
+    lo = np.asarray(spec.origin) - spec.h / 2
+    cell = spec.h * np.asarray(spec.shape) / bins
+    lattice = (bins,) * spec.dim
+    idx = np.clip(((points - lo) / cell).astype(int), 0, bins - 1)
+    flat = np.ravel_multi_index(tuple(idx.T), lattice)
     mass = np.bincount(flat, weights=weights, minlength=bins**spec.dim)
     occupied = np.nonzero(mass > 0)[0]
-    return DiscreteMeasure(centers[occupied], mass[occupied] / mass[occupied].sum())
+    centers = lo + (np.stack(np.unravel_index(occupied, lattice), axis=1) + 0.5) * cell
+    return DiscreteMeasure(centers, mass[occupied] / mass[occupied].sum())
 
 
 def ramp_profile(r: np.ndarray, R: float, w: float) -> np.ndarray:

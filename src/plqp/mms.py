@@ -2,30 +2,31 @@
 
 One implicit step minimizes
     Phi(x; tau, anchor) = phi(x) + d(x, anchor)^2 / (2 tau)
-with d the composite (transport + L^inf) distance.  Minimizing over all
-densities is out of reach, so the resolvent searches a declared family and
-reports family-relative minimality only:
+with d the composite distance W_inf + L^inf, the (inf, inf) metric, the
+only one the scheme uses.  Minimizing over all densities is out of reach,
+so the resolvent searches a declared family and reports family-relative
+minimality only:
 
 * Radial family: each component is a piecewise-constant ring profile about a
   fixed center with fixed component mass; candidate moves set one ring height
-  to a quantized ladder level and rescale the component.  The functional and
-  the distance are evaluated in profile space with continuum closed forms
-  (ring-jump total variation, exact L^2/L^inf, monotone radial bottleneck),
-  with periodic cross-checks against the grid bottleneck.  A sweep scores
-  all moves of one component at once: row sums for the closed forms, the
-  components that did not move contributing constants, and one batched
-  quantile-gap kernel against the anchor's cumulative weights for the
-  radial bottleneck.  A component's moves and their scores are computed
-  once per distinct height profile in one resolvent call, so a sweep
-  re-scores only the component that last moved.
+  to a quantized ladder level and rescale the component.  A cell lies in
+  ring k when k R / rings <= r < (k + 1) R / rings (`_ring_index`), for the
+  family's masses, the fitted anchor profile and the materialized state
+  alike.  The functional and the distance are evaluated in profile space
+  with continuum closed forms (ring-jump total variation, exact L^2/L^inf,
+  monotone radial bottleneck), with periodic cross-checks against the grid
+  bottleneck.  A sweep scores all moves of one component at once: row sums
+  for the closed forms, the components that did not move contributing
+  constants, and one batched quantile-gap kernel against the anchor's
+  cumulative weights for the radial bottleneck.  A component's moves and
+  their scores are computed once per distinct height profile in one
+  resolvent call, so a sweep re-scores only the component that last moved.
 * Grid local search: greedy first-improvement descent over quantum mass
   transfers between adjacent cells; the transport part of the distance is
-  evaluated on coarse-binned atoms (sub-sampling factor recorded).  Within
-  one resolvent call each distinct coarse pair is solved once, keyed on what
-  the bottleneck solver reads, so a reused value equals a fresh solve.  The
-  key is built from the cell values and each cell's precomputed coarse bin,
-  with the float operations of the coarse measure, so it is bit-identical
-  to binning the state's atoms; no measure is built for a reused pair.
+  evaluated on coarse-binned atoms (`coarse_measure`, sub-sampling factor
+  recorded).  Within one resolvent call each distinct coarse pair is solved
+  once, keyed on what the bottleneck solver reads (the coarse points and the
+  integer capacities of both sides), so a reused value equals a fresh solve.
 
 Both searches score bound first.  A candidate's value is
     phi + (B + L)^2 / (2 tau)
@@ -48,8 +49,9 @@ construction, and so do the telescoped dissipation inequalities.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -66,12 +68,11 @@ from .measures import (
     DiscreteMeasure,
     GridDensity,
     GridSpec,
-    coarse_lattice,
     coarse_measure,
     grid_to_atoms,
     normalized_density,
 )
-from .plmetric import PLMetricParams, lp_norm_diff
+from .plmetric import lp_norm_diff
 
 SUBRINGS = 32  # sub-ring resolution used for the radial bottleneck
 # Largest grid the grid-family search accepts, set so that one scan of the
@@ -144,23 +145,22 @@ class RadialFamily:
         levels: int = 32,
         max_sweeps: int = 60,
     ) -> "RadialFamily":
+        n = len(centers)
+        fam = RadialFamily(
+            tuple(tuple(float(x) for x in c) for c in centers),
+            (1.0 / max(n, 1),) * n,  # stand-ins until the rings measure the anchor
+            tuple(float(R) for R in outer_radii),
+            rings, levels, max_sweeps,
+        )
         pts = anchor.spec.centers()
-        masses = []
-        for c, R in zip(centers, outer_radii):
-            r = np.linalg.norm(pts - np.asarray(c, dtype=float), axis=-1)
-            masses.append(float(anchor.values[r <= R].sum() * anchor.spec.cell_volume))
+        masses = [
+            float(anchor.values[_ring_index(fam, j, pts) >= 0].sum() * anchor.spec.cell_volume)
+            for j in range(n)
+        ]
         total = sum(masses)
         if abs(total - 1.0) > 1e-6:
             raise InputError("outer radii do not capture the anchor mass")
-        masses = tuple(m / total for m in masses)
-        return RadialFamily(
-            tuple(tuple(float(x) for x in c) for c in centers),
-            masses,
-            tuple(float(R) for R in outer_radii),
-            rings,
-            levels,
-            max_sweeps,
-        )
+        return dataclasses.replace(fam, masses=tuple(m / total for m in masses))
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,6 @@ class ResolventProblem:
     tau: float
     anchor: GridDensity
     family: RadialFamily | GridSearchFamily
-    metric: PLMetricParams = field(default_factory=PLMetricParams)
     sobolev_r: float = 1.5
 
     def __post_init__(self):
@@ -237,6 +236,16 @@ def _rings(fam: RadialFamily, j: int) -> _Rings:
     )
 
 
+def _ring_index(fam: RadialFamily, j: int, pts: np.ndarray) -> np.ndarray:
+    """The ring of component j holding each point: k where
+    k R / rings <= r < (k + 1) R / rings, with r its distance to the
+    component's center, and -1 where r >= R."""
+    R = fam.outer_radii[j]
+    r = np.linalg.norm(pts - np.asarray(fam.centers[j]), axis=-1)
+    k = np.minimum((r / (R / fam.rings)).astype(int), fam.rings - 1)
+    return np.where(r < R, k, -1)
+
+
 def _rescale_component(mass: float, areas: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Rescale height rows of a component with these ring areas to its mass."""
     total = (h * areas).sum(axis=-1)
@@ -249,13 +258,10 @@ def _fit_anchor_profile(anchor: GridDensity, family: RadialFamily) -> _RadialSta
     pts = anchor.spec.centers()
     vol = anchor.spec.cell_volume
     heights = []
-    for j, c in enumerate(family.centers):
+    for j in range(len(family.centers)):
         g = _rings(family, j)
-        r = np.linalg.norm(pts - np.asarray(c), axis=-1)
-        h = np.zeros(family.rings)
-        for k in range(family.rings):
-            mask = (r >= g.edges[k]) & (r < g.edges[k + 1])
-            h[k] = anchor.values[mask].sum() * vol / g.areas[k]
+        ring = _ring_index(family, j, pts)
+        h = np.array([anchor.values[ring == k].sum() * vol / g.areas[k] for k in range(family.rings)])
         heights.append(_rescale_component(family.masses[j], g.areas, h))
     return _RadialState(family, heights)
 
@@ -272,10 +278,8 @@ def _materialize(state: _RadialState, spec: GridSpec) -> GridDensity:
     pts = spec.centers()
     raw = np.zeros(spec.shape)
     for j, h in enumerate(state.heights):
-        R = fam.outer_radii[j]
-        r = np.linalg.norm(pts - np.asarray(fam.centers[j]), axis=-1)
-        k = np.minimum((r / (R / fam.rings)).astype(int), fam.rings - 1)
-        raw += np.where(r < R, h[k], 0.0)
+        ring = _ring_index(fam, j, pts)
+        raw += np.where(ring >= 0, h[ring], 0.0)
     # ring profiles are coarse objects; allow a looser sampling mismatch
     return normalized_density(spec, raw, guard=0.1)
 
@@ -506,39 +510,19 @@ class _CoarseBottleneck:
     reads: the coarse support points and the integer capacities of both
     sides.  A reused value is therefore the value a fresh solve returns.  One
     instance serves one resolvent call.
-
-    The cells' bins and the bins' centers are found once.  `coarse` then
-    builds a state's coarse points and weights from its values with the float
-    operations of `_coarse`, in the same order, so they equal its output bit
-    for bit; a `DiscreteMeasure` is built only for a pair not yet solved.
     """
 
     def __init__(self, anchor: GridDensity, bins: int):
-        spec = anchor.spec
+        self.bins = bins
         self.anchor = _coarse(anchor, bins)
-        self.cell_volume = spec.cell_volume
-        cell_bin, self.bin_centers = coarse_lattice(spec.centers().reshape(-1, spec.dim), spec, bins)
-        self.cell_bin = cell_bin.reshape(spec.shape)
         self.solved: dict[tuple, float] = {}
 
-    def coarse(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The coarse points of the state with these cell values, and the
-        weights `coarse_measure` hands to `DiscreteMeasure` (which divides
-        them by their sum once more)."""
-        mask = values > 0
-        w = values[mask] * self.cell_volume
-        w = w / w.sum()  # grid_to_atoms
-        w = w / w.sum()  # its DiscreteMeasure
-        mass = np.bincount(self.cell_bin[mask], weights=w, minlength=len(self.bin_centers))
-        occupied = np.nonzero(mass > 0)[0]
-        return self.bin_centers[occupied], mass[occupied] / mass[occupied].sum()
-
     def __call__(self, g: GridDensity) -> float:
-        points, raw = self.coarse(g.values)
-        a, b, _ = scale_pair(raw / raw.sum(), self.anchor.weights)
-        key = (points.tobytes(), a.tobytes(), b.tobytes())
+        coarse = _coarse(g, self.bins)
+        a, b, _ = scale_pair(coarse.weights, self.anchor.weights)
+        key = (coarse.points.tobytes(), a.tobytes(), b.tobytes())
         if key not in self.solved:
-            self.solved[key] = bottleneck.winf(DiscreteMeasure(points, raw), self.anchor).value
+            self.solved[key] = bottleneck.winf(coarse, self.anchor).value
         return self.solved[key]
 
 
@@ -565,10 +549,7 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
     cur_val = phi_anchor
     moves = 0
     evaluated = 0
-    neighbors = []
-    for ax in range(spec.dim):
-        for sgn in (1, -1):
-            neighbors.append((ax, sgn))
+    neighbors = [(ax, sgn) for ax in range(spec.dim) for sgn in (1, -1)]
     improved = True
     while moves < fam.budget and improved:
         improved = False
@@ -636,8 +617,6 @@ def _family_resolvent(prob: ResolventProblem):
 def resolvent(prob: ResolventProblem):
     """Approximate minimizer of Phi(. ; tau, anchor) within the declared
     family.  Returns (state, Phi value, diagnostics)."""
-    if not (math.isinf(prob.metric.q) and math.isinf(prob.metric.p)):
-        raise InputError("the scheme is implemented for the (inf, inf) metric")
     out, _, val, _, diag = _family_resolvent(prob)(prob)
     return out, val, diag
 
@@ -663,10 +642,7 @@ def run_scheme(
     movements = []
     moreaus = []
     for step_i, tau in enumerate(partition.steps):
-        prob = ResolventProblem(
-            prob_template.phi, tau, states[-1], fam,
-            prob_template.metric, prob_template.sobolev_r,
-        )
+        prob = dataclasses.replace(prob_template, tau=tau, anchor=states[-1])
         out, fam_state, val, move, diag = step(prob, fam_state)
         if cross_check_every and (step_i + 1) % cross_check_every == 0:
             check = winf_grid(out, states[-1])

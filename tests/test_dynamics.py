@@ -248,7 +248,7 @@ def face_lp(f0: GridDensity, f1: GridDensity, dt: float):
     """The active-face divergence, face densities and rhs of one interval,
     built as `_solve_interval` builds them."""
     spec = f0.spec
-    D, _ = dynamics._divergence_matrix(spec)
+    D = dynamics._divergence_matrix(spec)
     fbar = 0.5 * (f0.values + f1.values)
     fface = np.concatenate([dynamics._face_density(fbar, ax).ravel() for ax in range(spec.dim)])
     active = fface > 0

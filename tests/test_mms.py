@@ -5,8 +5,8 @@ import pytest
 
 from plqp import bottleneck, mms
 from plqp.errors import InputError
-from plqp.functionals import BALL_ISOP_2D, isop
-from plqp.measures import DiscreteMeasure, GridDensity, make_multiball, make_ramp_ball
+from plqp.functionals import BALL_ISOP_2D, isop, sobolev_ratio
+from plqp.measures import make_multiball, make_ramp_ball
 from plqp.mms import (
     GridSearchFamily,
     RadialFamily,
@@ -19,7 +19,7 @@ from plqp.mms import (
 )
 from plqp.plmetric import lp_norm_diff
 
-from helpers import line_grid, square_grid
+from helpers import square_grid
 
 
 def ball_setup(tau=0.1):
@@ -74,15 +74,6 @@ def test_resolvent_two_ball_descends():
     mb, prob = two_ball_setup(tau=0.1)
     out, val, diag = resolvent(prob)
     assert val < diag["phi_anchor"] - 1e-4
-
-
-def test_resolvent_rejects_finite_metric():
-    from plqp.plmetric import PLMetricParams
-
-    ball, prob = ball_setup()
-    bad = ResolventProblem("isop", 0.1, prob.anchor, prob.family, PLMetricParams(2.0, 2.0))
-    with pytest.raises(InputError):
-        resolvent(bad)
 
 
 def test_scheme_ledger_invariants():
@@ -268,53 +259,17 @@ def test_grid_scheme_ledger():
         assert sol.moreau_values[k] == sol.phi_values[k + 1] + m**2 / (2 * part.steps[k])
 
 
-def random_states(rng, spec, count):
-    """Random unit-mass densities with scattered zero cells, clear of the ring."""
-    inner = (slice(1, -1),) * spec.dim
-    for _ in range(count):
-        vals = np.zeros(spec.shape)
-        vals[inner] = rng.uniform(0.0, 1.0, vals[inner].shape) * (rng.uniform(size=vals[inner].shape) < 0.6)
-        vals[inner][(0,) * spec.dim] += 1.0  # never empty
-        yield GridDensity(spec, vals / (vals.sum() * spec.cell_volume))
-
-
-def grid_candidates(g, quantum, count, rng):
-    """Random quantum transfers between adjacent cells of g, as the grid
-    search makes them."""
-    spec, vol = g.spec, g.spec.cell_volume
-    for _ in range(count):
-        src = tuple(rng.integers(2, s - 2) for s in spec.shape)
-        dst = list(src)
-        dst[rng.integers(spec.dim)] += rng.choice([-1, 1])
-        if g.values[src] * vol < quantum:
-            continue
-        cand = g.values.copy()
-        cand[src] -= quantum / vol
-        cand[tuple(dst)] += quantum / vol
-        yield GridDensity(spec, cand)
-
-
-@pytest.mark.parametrize(
-    "spec, bins",
-    [(square_grid(20, 4.4), 8), (square_grid(16, 4.0), 8), (square_grid(13, 3.0), 5),
-     (square_grid(9, 2.0), 7), (line_grid(30, 3.0, left=-1.5), 7)],
-)
-def test_coarse_key_is_bit_identical_to_coarse_measure(spec, bins):
-    # the grid search keys and solves on these arrays in place of _coarse's
-    rng = np.random.default_rng(17)
-    states = list(random_states(rng, spec, 25))
-    if spec.shape == (20, 20):
-        mb, prob = grid_setup()
-        states += [mb] + list(grid_candidates(mb, prob.family.quantum, 60, rng))
-    coarse_winf = mms._CoarseBottleneck(states[0], bins)
-    for g in states:
-        points, raw = coarse_winf.coarse(g.values)
-        want = mms._coarse(g, bins)
-        assert points.tobytes() == want.points.tobytes()
-        assert (raw / raw.sum()).tobytes() == want.weights.tobytes()
-        solved = DiscreteMeasure(points, raw)
-        assert solved.points.tobytes() == want.points.tobytes()
-        assert solved.weights.tobytes() == want.weights.tobytes()
+def test_run_scheme_keeps_every_template_field():
+    # each step's problem is the template with that step's tau and anchor
+    mb, _ = grid_setup()
+    fam = GridSearchFamily(quantum=2e-3, budget=1, coarse_bins=8)
+    prob = ResolventProblem("sobolev", 0.5, mb, fam, sobolev_r=1.3)
+    taus = (0.5, 0.25)
+    sol = run_scheme(mb, StepPartition(taus), prob)
+    for state, phi in zip(sol.states, sol.phi_values):
+        assert phi == sobolev_ratio(state, 1.3).value
+    for k, m in enumerate(sol.movement):
+        assert sol.moreau_values[k] == sol.phi_values[k + 1] + m**2 / (2 * taus[k])
 
 
 @pytest.mark.parametrize("phi", ["isop", "sobolev"])

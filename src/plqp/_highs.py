@@ -15,18 +15,18 @@ again: HiGHS then starts from the last optimal basis.
 
 `scipy.optimize._highspy` is private to scipy; pyproject.toml pins the
 scipy range tested with it, and a test checks that every name used here
-exists.
+exists.  HiGHS, and with it the `scipy.optimize` package, loads with the
+first `Model`, so a process that solves no LP never imports it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
-_STATUS = _core.HighsModelStatus
-INF = _core.kHighsInf
+INF = math.inf  # HiGHS's kHighsInf
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class Model:
     """
 
     def __init__(self, cost, col_lower, col_upper, start, index, value, row_lower, row_upper, options):
+        from scipy.optimize._highspy import _core
+
         self._highs = h = _core._Highs()
         h.setOptionValue("output_flag", False)
         h.setOptionValue("simplex_strategy", int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
@@ -75,6 +77,8 @@ class Model:
 
     def add_cols(self, cost, col_lower, col_upper, start, index, value) -> None:
         """Append columns; `start` indexes into this call's index/value."""
+        from scipy.optimize._highspy import _core
+
         status = self._highs.addCols(
             len(cost), cost, col_lower, col_upper, len(index), start[:-1], index, value
         )
@@ -82,12 +86,14 @@ class Model:
             raise ValueError("HiGHS rejected the added columns")
 
     def run(self) -> Solution:
+        from scipy.optimize._highspy._core import HighsModelStatus
+
         h = self._highs
         h.run()
         status = h.getModelStatus()
         iterations = int(h.getInfo().simplex_iteration_count)
         message = h.modelStatusToString(status)
-        if status != _STATUS.kOptimal:
-            return Solution(False, status == _STATUS.kUnbounded, message, None, None, iterations)
+        if status != HighsModelStatus.kOptimal:
+            return Solution(False, status == HighsModelStatus.kUnbounded, message, None, None, iterations)
         sol = h.getSolution()
         return Solution(True, False, message, np.array(sol.col_value), np.array(sol.row_dual), iterations)

@@ -54,8 +54,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import maximum_flow
 
 from ._scaling import scale_pair
 from .errors import InputError
@@ -172,6 +170,13 @@ class _Search:
         return self.lo < self.hi
 
 
+def maximum_flow(graph, source: int, sink: int):
+    """`scipy.sparse.csgraph.maximum_flow`, imported on the first call."""
+    from scipy.sparse import csgraph
+
+    return csgraph.maximum_flow(graph, source, sink)
+
+
 def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
     """One max-flow on the disjoint union of the threshold graphs d <= eps[k]
     of `searches[k]`, sharing the source and the sink.
@@ -181,6 +186,8 @@ def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
     exceed 2^31).  A feasible instance keeps its block of the flow as its
     witness.
     """
+    from scipy import sparse
+
     first = np.cumsum([1] + [len(s.a) + len(s.b) for s in searches])
     sink = int(first[-1])
     # CSR rows in node order: the source, then each instance's first-side

@@ -27,11 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
-# unused here but stays bound: perfbench/tracer.py patches it
-from scipy.optimize import linprog  # noqa: F401
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import lsqr
 
 from . import _highs
 from .bottleneck import winf, winf_grid
@@ -54,6 +49,24 @@ DENSITY_FLOOR = 1e-9  # report v = m/f only where f >= this floor
 LP_OPTIONS = {"presolve": True}
 
 
+def __getattr__(name):
+    # `linprog` is never called here.  It is bound on first look-up only
+    # because perfbench/tracer.py patches it; ROADMAP item 6 deletes it.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()[name] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def lsqr(A, b, **options):
+    """`scipy.sparse.linalg.lsqr`, imported on the first call."""
+    from scipy.sparse import linalg
+
+    return linalg.lsqr(A, b, **options)
+
+
 # ---------------------------------------------------------------------------
 # staggered-grid operators
 # ---------------------------------------------------------------------------
@@ -66,10 +79,12 @@ def _sides(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return a[(*before, slice(None, -1))], a[(*before, slice(1, None))]
 
 
-def _divergence_matrix(spec: GridSpec) -> sparse.csr_matrix:
+def _divergence_matrix(spec: GridSpec):
     """Sparse divergence: cells x faces, (div m)_c = sum_axis (m_out - m_in)/h.
 
     Faces are numbered axis by axis, each axis's faces in row-major order."""
+    from scipy import sparse
+
     ncells = int(np.prod(spec.shape))
     cell_idx = np.arange(ncells).reshape(spec.shape)
     rows, cols, vals = [], [], []
@@ -128,12 +143,23 @@ class ReconstructedField(VelocityField):
     residuals: tuple[float, ...] = ()
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """The boolean mask grown by one cell in every direction, diagonals
+    included (a 3^d box), one axis at a time; False outside the grid."""
+    for ax in range(mask.ndim):
+        grown = mask.copy()
+        lo, hi = _sides(mask, ax)
+        grown_lo, grown_hi = _sides(grown, ax)
+        grown_lo |= hi
+        grown_hi |= lo
+        mask = grown
+    return mask
+
+
 def _support_compatible(f0: np.ndarray, f1: np.ndarray) -> bool:
     s0 = f0 > SUPPORT_EPS * f0.max()
     s1 = f1 > SUPPORT_EPS * f1.max()
-    grow = ndimage.binary_dilation(s0, structure=np.ones((3,) * f0.ndim, bool))
-    shrink = ndimage.binary_dilation(s1, structure=np.ones((3,) * f0.ndim, bool))
-    return bool(np.all(s1 <= grow) and np.all(s0 <= shrink))
+    return bool(np.all(s1 <= _dilate(s0)) and np.all(s0 <= _dilate(s1)))
 
 
 def _residual_bound(rhs: np.ndarray) -> float:
@@ -145,6 +171,8 @@ def _residual_bound(rhs: np.ndarray) -> float:
 def _unroutable_mass(Da, rhs: np.ndarray, mass_unit: float) -> float:
     """Mass that no flow along the active faces can move: half the summed
     net imbalance of rhs over the connected components of the face graph."""
+    from scipy.sparse.csgraph import connected_components
+
     inc = abs(Da)
     _, labels = connected_components(inc @ inc.T, directed=False)
     net = np.bincount(labels, weights=rhs) * mass_unit
@@ -154,6 +182,8 @@ def _unroutable_mass(Da, rhs: np.ndarray, mass_unit: float) -> float:
 def _solve(cost, col_lower, col_upper, A, b) -> _highs.Solution:
     """min cost . x subject to A x = b and the column bounds, with
     LP_OPTIONS."""
+    from scipy import sparse
+
     A = sparse.csc_array(A)
     return _highs.Model(cost, col_lower, col_upper, A.indptr, A.indices, A.data, b, b, LP_OPTIONS).run()
 
@@ -167,6 +197,8 @@ def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
     misses rhs, is infeasible; the error names the mass (`mass_unit` per
     unit of rhs in a cell) that no flow along the active faces can move.
     """
+    from scipy import sparse
+
     nfa = len(fa)
     # phase 1, homogenized: m = t fa u with |u| <= 1 and r = -1/t <= 0, so
     # minimizing t is minimizing r subject to Da diag(fa) u + r rhs = 0.
@@ -590,6 +622,8 @@ class TraceReport:
 
 
 def _interp_field(spec: GridSpec, v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
+
     idx = (pts - np.asarray(spec.origin)) / spec.h
     coords = np.moveaxis(idx, -1, 0)
     out = np.empty_like(pts)

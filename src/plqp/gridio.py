@@ -35,8 +35,10 @@ def _write(kind: str, spec: GridSpec, values: np.ndarray, path: str | Path) -> N
     shape = "x".join(str(s) for s in spec.shape)
     origin = ",".join(format(x, ".17g") for x in spec.origin)
     lines = [f"#plqp-{kind} v1 dim={spec.dim} shape={shape} h={spec.h:.17g} origin={origin}"]
-    for row in values.reshape(spec.shape[0], -1):
-        lines.append(",".join(format(v, ".17g") for v in row))
+    rows = values.reshape(spec.shape[0], -1)
+    # "%.17g" writes the bytes of format(v, ".17g"), one % per row
+    row_format = ",".join(["%.17g"] * rows.shape[1])
+    lines += [row_format % tuple(row) for row in rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InputError
 
@@ -416,6 +415,8 @@ def translate_curve(g: GridDensity, V: tuple[float, ...], times: list[float]) ->
 
 def _interp_values(g: GridDensity, query: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of cell values at query points (0 outside)."""
+    from scipy import ndimage
+
     idx = (query - np.asarray(g.spec.origin)) / g.spec.h
     # map_coordinates wants one row per axis
     coords = np.moveaxis(idx, -1, 0)
@@ -463,6 +464,8 @@ def _kernel_1d(cfg: MollifierConfig, h: float) -> np.ndarray:
 
 def mollify(g: GridDensity, cfg: MollifierConfig) -> GridDensity:
     """Discrete separable convolution with a unit-mass kernel."""
+    from scipy import ndimage
+
     if cfg.width < g.spec.h:
         raise InputError("mollifier width must be at least one cell")
     k = _kernel_1d(cfg, g.spec.h)

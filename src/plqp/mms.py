@@ -171,6 +171,14 @@ class GridSearchFamily:
     budget: int = 200
     coarse_bins: int = 12
 
+    def __post_init__(self):
+        if not self.quantum > 0:
+            raise InputError(f"move quantum must be positive, got {self.quantum}")
+        if self.budget < 0:
+            raise InputError(f"move budget must be >= 0, got {self.budget}")
+        if self.coarse_bins < 1:
+            raise InputError(f"coarse_bins must be >= 1, got {self.coarse_bins}")
+
 
 @dataclass(frozen=True)
 class ResolventProblem:

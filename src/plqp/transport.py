@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused here but stays bound: perfbench/tracer.py patches it
-from scipy.optimize import linprog  # noqa: F401
 
 from . import _highs
 from .errors import InfeasibleError, InputError
@@ -64,6 +62,17 @@ COARSE_RATIO = 3
 # pairs added per row and per column: the cheapest under the coarse duals
 # when seeding, the most negative reduced costs in each pricing round
 LINE_EDGES = 8
+
+
+def __getattr__(name):
+    # `linprog` is never called here.  It is bound on first look-up only
+    # because perfbench/tracer.py patches it; ROADMAP item 6 deletes it.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()[name] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -238,9 +247,14 @@ def _cells(pa: np.ndarray, pb: np.ndarray, target: int) -> tuple[np.ndarray, np.
     pts = np.concatenate([pa, pb])
     lo = pts.min(axis=0)
     extent = pts.max(axis=0) - lo
-    spread = extent[extent > 0]
-    # a cell volume of (box volume) / target, in logs so it cannot overflow
-    side = math.exp((np.log(spread).sum() - math.log(target)) / len(spread)) if len(spread) else 1.0
+    logs = np.log(extent[extent > 0])
+    # a cell volume of (box volume) / target, in logs so it cannot overflow,
+    # but no side below (largest extent) / target: on a cloud much thinner
+    # along one axis the volume rule alone gives cells so small that the
+    # index cast overflows and the search takes dozens of passes
+    side = 1.0
+    if len(logs):
+        side = math.exp(max((logs.sum() - math.log(target)) / len(logs), logs.max() - math.log(target)))
     while True:
         key = _lattice_key(np.floor((pts - lo) / side).astype(np.int64))
         cells_a, ca = np.unique(key[: len(pa)], return_inverse=True)
@@ -254,14 +268,12 @@ def _cells(pa: np.ndarray, pb: np.ndarray, target: int) -> tuple[np.ndarray, np.
 def _lattice_key(idx: np.ndarray) -> np.ndarray:
     """One int64 per row of lattice indices, ordered as the rows are in
     lexicographic order, so that cells are numbered as `np.unique(idx,
-    axis=0)` numbers them.  Non-negative indices are flattened as they are;
-    indices that would not fit one int64 key (or that wrapped when they were
-    cast) are first replaced by their rank on their axis, which keeps the
-    order."""
+    axis=0)` numbers them.  The non-negative indices are flattened as they
+    are; rows whose flat key would not fit one int64 (many wide axes) are
+    keyed by that numbering itself."""
     dims = idx.max(axis=0) + 1
-    if idx.min() < 0 or math.prod(dims.tolist()) > np.iinfo(np.int64).max:
-        idx = np.stack([np.unique(x, return_inverse=True)[1] for x in idx.T], axis=1)
-        dims = idx.max(axis=0) + 1
+    if math.prod(dims.tolist()) > np.iinfo(np.int64).max:
+        return np.unique(idx, axis=0, return_inverse=True)[1].ravel()
     return np.ravel_multi_index(tuple(idx.T), dims)
 
 

@@ -1,0 +1,92 @@
+"""Which scipy modules a plqp process loads: `import plqp` costs numpy
+alone, and each command imports only the scipy solvers it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import plqp
+from plqp import gridio
+from plqp.measures import make_ramp_ball
+
+from helpers import square_grid
+
+# runs each argv in turn through cli.main in this interpreter, then prints
+# the scipy modules loaded so far as the last line
+CHILD = """
+import json, sys
+import plqp, plqp.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    rc = plqp.cli.main(argv)
+    assert rc == 0, (argv, rc)
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+RADIAL_CONFIG = {
+    "anchor": {"kind": "ramp_ball", "grid": {"n": 16, "extent": 3.0}, "center": [0.0, 0.0],
+               "R": 0.9, "w": 0.5, "guard": 0.05},
+    "family": {"kind": "radial", "centers": [[0.0, 0.0]], "outer_radii": [1.2], "rings": 4, "levels": 8},
+    "tau": 0.1,
+    "steps": 2,
+}
+
+
+def loaded_after(*argvs):
+    """The scipy modules loaded after `import plqp, plqp.cli` and after each
+    command, in one fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plqp.__file__).resolve().parents[1])}
+    r = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return [set(mods) for mods in json.loads(r.stdout.splitlines()[-1])]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cold")
+    spec = square_grid(16, 3.0)
+    for name, center in (("a", (0.0, 0.0)), ("b", (0.375, 0.0))):
+        gridio.write_grid(make_ramp_ball(spec, center, 0.9, 0.5, guard=0.05), base / f"{name}.csv")
+    (base / "radial.json").write_text(json.dumps(RADIAL_CONFIG))
+    return base
+
+
+def test_import_mms_and_curve_load_no_scipy(files):
+    imported, mms, curve = loaded_after(
+        ["mms", "--config", str(files / "radial.json"), "--out", str(files / "mms")],
+        ["curve", "--kind", "translate", "--grid", str(files / "a.csv"), "--param", "0.1875,0",
+         "--times", "0,0.5,1", "--out", str(files / "curve")],
+    )
+    assert imported == mms == curve == set()
+
+
+def test_bottleneck_distance_loads_csgraph_only(files):
+    _, dist = loaded_after(["dist", "--q", "inf", str(files / "a.csv"), str(files / "b.csv")])
+    assert "scipy.sparse.csgraph" in dist
+    assert "scipy.optimize" not in dist and "scipy.ndimage" not in dist
+
+
+def test_lp_commands_load_no_ndimage(files):
+    manifest = files / "traj" / "curve_manifest.json"
+    _, curve, *runs = loaded_after(
+        ["curve", "--kind", "translate", "--grid", str(files / "a.csv"), "--param", "0.1875,0",
+         "--times", "0,0.5,1", "--out", str(files / "traj")],
+        ["dist", "--q", "2", str(files / "a.csv"), str(files / "b.csv")],
+        ["reconstruct", "--manifest", str(manifest), "--norm", "linf"],
+        ["reconstruct", "--manifest", str(manifest), "--norm", "l2"],
+        ["bb", "--steps", "2", str(files / "a.csv"), str(files / "b.csv")],
+    )
+    assert curve == set()
+    assert "scipy.optimize" in runs[0]
+    assert "scipy.sparse.linalg" in runs[2]
+    assert not any("scipy.ndimage" in mods for mods in runs)

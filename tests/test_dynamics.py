@@ -510,3 +510,16 @@ def test_trace_requires_field():
     traj = Trajectory((0.0, 1.0), (g, g))
     with pytest.raises(InputError):
         trace_characteristics(traj, 100)
+
+
+def test_dilation_matches_ndimage_box_dilation():
+    from scipy import ndimage
+
+    rng = np.random.default_rng(41)
+    for _ in range(250):
+        dim = int(rng.integers(1, 4))
+        mask = rng.random(tuple(rng.integers(1, 9, dim))) < rng.uniform(0.0, 0.4)
+        want = ndimage.binary_dilation(mask, structure=np.ones((3,) * dim, bool))
+        got = dynamics._dilate(mask)
+        assert got.dtype == bool and got.shape == mask.shape
+        np.testing.assert_array_equal(got, want)

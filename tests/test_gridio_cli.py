@@ -77,6 +77,32 @@ def test_grid_and_field_writers_share_one_layout(tmp_path):
         gridio.read_grid(tmp_path / "f.csv")
 
 
+def reference_write(kind, spec, values, path):
+    """A grid or field file written one format(v, ".17g") per value: the
+    bytes `gridio._write` must reproduce."""
+    shape = "x".join(str(s) for s in spec.shape)
+    origin = ",".join(format(x, ".17g") for x in spec.origin)
+    lines = [f"#plqp-{kind} v1 dim={spec.dim} shape={shape} h={spec.h:.17g} origin={origin}"]
+    for row in values.reshape(spec.shape[0], -1):
+        lines.append(",".join(format(v, ".17g") for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_writers_match_the_per_value_reference(tmp_path):
+    rng = np.random.default_rng(31)
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.1, 1 / 3, 2.0**-1074 * 3])
+    for dim, n in ((1, 7), (1, 40), (2, 5), (2, 48)):
+        spec = square_grid(n, rng.uniform(0.5, 10.0), dim)
+        values = rng.normal(0, 1, spec.shape) * 10.0 ** rng.integers(-300, 300, spec.shape)
+        values.flat[: len(specials)] = specials[: values.size]
+        vectors = rng.normal(0, 1, (*spec.shape, dim))
+        vectors.flat[: len(specials)] = specials[: vectors.size]
+        for kind, arr in (("grid", values), ("field", vectors)):
+            gridio._write(kind, spec, arr, tmp_path / "got.csv")
+            reference_write(kind, spec, arr, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -313,6 +339,20 @@ def test_cli_mms_bad_config_exit_2(tmp_path):
     out = tmp_path / "mmsout"
     r = run_cli("mms", "--config", str(cfg_path), "--out", str(out))
     assert r.returncode == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quantum", [-0.001, 0.0])
+def test_cli_mms_nonpositive_quantum_exits_2(tmp_path, quantum):
+    cfg = copy.deepcopy(GRID_CONFIG)
+    cfg["family"]["quantum"] = quantum
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "mmsout"
+    r = run_cli("mms", "--config", str(cfg_path), "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: move quantum must be positive")
+    assert "Traceback" not in r.stderr
     assert not out.exists()
 
 

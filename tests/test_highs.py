@@ -35,6 +35,7 @@ for option in ("output_flag", "simplex_strategy", "presolve",
     assert H.getOptionType(option)[0] == h.HighsStatus.kOk, option
 assert hasattr(H.getInfo(), "simplex_iteration_count")
 from plqp import _highs
+assert _highs.INF == h.kHighsInf
 # min x0 + 2 x1 with x0 + x1 = 1, then a cheaper column x2
 model = _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
                      [1.0], [1.0], {"presolve": False, "primal_feasibility_tolerance": 1e-10})

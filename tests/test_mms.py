@@ -323,3 +323,13 @@ def test_radial_sweeps_reuse_exact_component_scores(monkeypatch, phi):
         computed += int(done.sum())
         valid += int(c.valid.sum())
     assert 0 < computed < valid
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"quantum": -1e-3}, {"quantum": 0.0}, {"quantum": math.nan}, {"budget": -1}, {"coarse_bins": 0}],
+    ids=["negative_quantum", "zero_quantum", "nan_quantum", "budget", "coarse_bins"],
+)
+def test_grid_family_rejects_malformed_fields(fields):
+    with pytest.raises(InputError):
+        GridSearchFamily(**fields)

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,11 +334,12 @@ def unique_cells(pa, pb, target):
     pts = np.concatenate([pa, pb])
     lo = pts.min(axis=0)
     extent = pts.max(axis=0) - lo
-    spread = extent[extent > 0]
-    side = math.exp((np.log(spread).sum() - math.log(target)) / len(spread)) if len(spread) else 1.0
+    logs = np.log(extent[extent > 0])
+    side = 1.0
+    if len(logs):
+        side = math.exp(max((logs.sum() - math.log(target)) / len(logs), logs.max() - math.log(target)))
     while True:
-        with np.errstate(invalid="ignore"):
-            idx = np.floor((pts - lo) / side).astype(np.int64)
+        idx = np.floor((pts - lo) / side).astype(np.int64)
         cells_a, ca = np.unique(idx[: len(pa)], axis=0, return_inverse=True)
         cells_b, cb = np.unique(idx[len(pa) :], axis=0, return_inverse=True)
         if max(len(cells_a), len(cells_b)) <= target:
@@ -345,7 +347,7 @@ def unique_cells(pa, pb, target):
         side *= 1.5
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.filterwarnings("error")
 def test_cells_number_as_unique_rows():
     rng = np.random.default_rng(22)
     clouds = []
@@ -354,15 +356,34 @@ def test_cells_number_as_unique_rows():
             m, n = rng.integers(2, 400, 2)
             scale = 10.0 ** rng.uniform(-3, 3, dim)
             clouds.append((rng.uniform(0, 1, (m, dim)) * scale, rng.normal(0, 1, (n, dim)) * scale))
-    # so anisotropic that the indices of one axis wrap when cast to int64 (2D)
-    # or their product overflows one int64 key (3D): numbered by axis ranks
-    for scale in ([1.0, 1e-40], [1.0, 1.0, 1e-30]):
+    # thin along one axis, where cells are (largest extent) / target wide; in
+    # 11D the indices of ten wide axes overflow one int64 key
+    for scale in ([1.0, 1e-40], [1.0, 1.0, 1e-30], [1.0] * 10 + [1e-30]):
         clouds.append(tuple(rng.uniform(0, 1, (300, len(scale))) * scale for _ in "ab"))
     for pa, pb in clouds:
         target = max(len(pa), len(pb)) // transport.COARSE_RATIO
         got, want = transport._cells(pa, pb, target), unique_cells(pa, pb, target)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("thin", [1e-30, 1e-40])
+def test_thin_cloud_lattice_takes_few_passes(monkeypatch, thin):
+    # 60 atoms a side, 1e30 or 1e40 times thinner along y: the coarse cells
+    # are at least (x extent) / target wide, so the lattice search neither
+    # grows its side for dozens of passes nor overflows the index cast
+    passes = []
+    key = transport._lattice_key
+    monkeypatch.setattr(transport, "_lattice_key", lambda idx: passes.append(idx) or key(idx))
+    rng = np.random.default_rng(3)
+    pa, pb = (rng.uniform(0, 1, (60, 2)) * [1.0, thin] + [shift, 0.0] for shift in (0.0, 0.1))
+    wa, wb = rng.dirichlet(np.ones(60)), rng.dirichlet(np.ones(60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = transport.wq(DiscreteMeasure(pa, wa), DiscreteMeasure(pb, wb), 2)
+    assert 1 <= len(passes) <= 3
+    line = transport.monotone_1d(DiscreteMeasure(pa[:, :1], wa), DiscreteMeasure(pb[:, :1], wb), 2)
+    assert abs(res.cost - line) <= 1e-12
 
 
 def test_pricing_rounds_grow_one_model_per_level(monkeypatch):

@@ -4,10 +4,17 @@ Grid densities are cell-center samples of a nonnegative density, renormalized
 so the discrete mass sum(values) * h^n equals 1.  Compact support is enforced
 as a one-cell zero ring at the grid boundary.  Dimensions are restricted to
 n in {1, 2}.
+
+Multilinear sampling (`_linear_table` and `_linear_sample`, used by the
+dilation curve and by characteristic tracing in `dynamics`) and the
+mollifier's separable convolution are plain numpy, written to round exactly
+as scipy's order-1 `map_coordinates` and `convolve1d` do, so these outputs
+are the same bytes without loading scipy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -180,8 +187,8 @@ class MollifierConfig:
     kernel: str = "gaussian"
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise InputError("mollifier width must be positive")
+        if not (self.width > 0 and math.isfinite(self.width)):
+            raise InputError("mollifier width must be positive and finite")
         if self.kernel not in ("gaussian", "triangular"):
             raise InputError(f"unknown kernel {self.kernel!r}")
 
@@ -220,8 +227,8 @@ class Trajectory:
         if len(self.times) != len(self.densities):
             raise InputError("times/densities length mismatch")
         t = np.asarray(self.times)
-        if len(t) and np.any(np.diff(t) <= 0):
-            raise InputError("times must be strictly increasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise InputError("times must be finite and strictly increasing")
         specs = {d.spec for d in self.densities}
         if len(specs) > 1:
             raise InputError("all densities must share one GridSpec")
@@ -413,14 +420,59 @@ def translate_curve(g: GridDensity, V: tuple[float, ...], times: list[float]) ->
     return Trajectory(tuple(times), tuple(densities), field)
 
 
-def _interp_values(g: GridDensity, query: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of cell values at query points (0 outside)."""
-    from scipy import ndimage
+def _linear_table(idx: list[np.ndarray], shape: tuple[int, ...]) -> list:
+    """Corners of order-1 (multilinear) sampling at fractional cell indices.
 
-    idx = (query - np.asarray(g.spec.origin)) / g.spec.h
-    # map_coordinates wants one row per axis
-    coords = np.moveaxis(idx, -1, 0)
-    return ndimage.map_coordinates(g.values, coords, order=1, mode="constant", cval=0.0)
+    `idx[a]` holds the indices along axis a; the arrays broadcast against
+    each other (the columns of a point cloud, or the rows of a tensor grid).
+    Returns the 2^d corners in C order, each as (flat cell index, per-axis
+    weights).  Weights and rounding are those of scipy's order-1 spline
+    `map_coordinates`: per axis w0 = 1 - (x - floor x) and w1 = 1 - w0, which
+    is not always the fraction x - floor x itself.  Corner indices are
+    clamped to the grid.
+    """
+    axes = []
+    for a, (x, n) in enumerate(zip(idx, shape)):
+        base = np.floor(x)
+        w0 = 1.0 - (x - base)
+        w1 = 1.0 - w0
+        # clamping the base to [-1, n-1] keeps the cast in range and the
+        # clamped corners as they are
+        b = np.clip(base, -1, n - 1).astype(np.intp)
+        stride = math.prod(shape[a + 1:])
+        axes.append(((np.maximum(b, 0) * stride, w0), (np.minimum(b + 1, n - 1) * stride, w1)))
+    table = []
+    for corner in itertools.product(*axes):
+        flats = [i for i, _ in corner]
+        table.append((sum(flats[1:], flats[0]), [w for _, w in corner]))
+    return table
+
+
+def _linear_sample(values: np.ndarray, table: list) -> np.ndarray:
+    """Sum over the corners of ((v * w_axis0) * w_axis1) ..., in table order.
+
+    `values` holds the cells in flat order on its last axis, after any
+    leading component axes (a field of shape (*grid, d) as (d, cells)).
+    """
+    # the sum starts from +0.0 as scipy's does, so an all -0.0 sum reads +0.0
+    out = 0.0
+    for flat, weights in table:
+        term = np.take(values, flat, axis=-1)
+        for w in weights:
+            term = term * w
+        out = out + term
+    return out
+
+
+def _interp_values(values: np.ndarray, idx: list[np.ndarray]) -> np.ndarray:
+    """Order-1 sampling of `values` at the fractional cell indices `idx` (laid
+    out as for `_linear_table`); 0 at a point outside the grid box in any
+    coordinate, as in scipy's mode "constant"."""
+    out = _linear_sample(values.ravel(), _linear_table(idx, values.shape))
+    inside = True
+    for x, n in zip(idx, values.shape):
+        inside = inside & (x >= 0) & (x <= n - 1)
+    return np.where(inside, out, 0.0)
 
 
 def dilation_rate(M: float, t: float) -> float:
@@ -428,20 +480,44 @@ def dilation_rate(M: float, t: float) -> float:
     return (M - 1.0) / (1.0 + t * (M - 1.0))
 
 
+def _dilation_factor(M: float, t: float, n: int) -> tuple[float, float]:
+    """lam = 1 - t + tM and lam^n, or InputError unless lam > 0 and lam^n is
+    finite and nonzero (past lam = 0 the formula reflects through the origin)."""
+    lam = 1.0 - t + t * M
+    try:
+        scale = lam**n
+    except OverflowError:
+        scale = math.inf
+    if not (lam > 0 and 0 < scale < math.inf):
+        raise InputError(
+            f"dilation factor lam = 1-t+tM = {lam:g} at t={t}: need lam > 0, lam^{n} finite and nonzero"
+        )
+    return lam, scale
+
+
 def dilate_curve(
     g: GridDensity, M: float, times: list[float], guard: float = RENORM_GUARD
 ) -> Trajectory:
     """Dilation curve: density f(x/(1-t+tM)) / (1-t+tM)^n, with the analytic
-    field v_t(x) = (M-1)/(1+t(M-1)) * x."""
-    if M <= 0:
-        raise InputError("dilation factor must be positive")
-    n = g.spec.dim
-    pts = g.spec.centers()
+    field v_t(x) = (M-1)/(1+t(M-1)) * x.
+
+    M must be finite and positive, and at every requested time the factor
+    lam = 1-t+tM positive with lam^n finite and nonzero: at lam <= 0 the
+    formula is a point reflection, not a dilation.
+    """
+    if not (M > 0 and math.isfinite(M)):
+        raise InputError("dilation factor must be positive and finite")
+    spec = g.spec
+    n = spec.dim
+    factors = [_dilation_factor(M, t, n) for t in times]
+    # the query points x / lam form a tensor grid: index it by its axes
+    axes = [spec.axis_coords(a).reshape([-1 if b == a else 1 for b in range(n)]) for a in range(n)]
+    pts = spec.centers()
     densities = []
     fields = []
-    for t in times:
-        lam = 1.0 - t + t * M
-        raw = _interp_values(g, pts / lam) / lam**n
+    for t, (lam, scale) in zip(times, factors):
+        idx = [(x / lam - o) / spec.h for x, o in zip(axes, spec.origin)]
+        raw = _interp_values(g.values, idx) / scale
         if not _check_interior_support(raw):
             raise InputError(f"support exits grid at t={t}")
         densities.append(normalized_density(g.spec, raw, guard=guard))
@@ -451,6 +527,8 @@ def dilate_curve(
 
 
 def _kernel_1d(cfg: MollifierConfig, h: float) -> np.ndarray:
+    """Odd unit-mass kernel, exactly symmetric: the offsets -j*h and j*h
+    differ only in sign."""
     if cfg.kernel == "gaussian":
         half = max(1, int(math.ceil(4 * cfg.width / h)))
         u = np.arange(-half, half + 1) * h
@@ -462,16 +540,28 @@ def _kernel_1d(cfg: MollifierConfig, h: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _convolve_symmetric(x: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
+    """Zero-padded convolution with an odd symmetric kernel along one axis:
+    k[c] x_i + sum over j = c .. 1 of (x_{i-j} + x_{i+j}) k[c-j], summed
+    from the far pair to the near one, which is how scipy's `convolve1d`
+    (mode "constant") rounds a symmetric kernel."""
+    x = np.moveaxis(x, axis, -1)
+    n, c = x.shape[-1], len(k) // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(c, c)])
+    out = x * k[c]
+    for j in range(c, 0, -1):
+        out = out + (xp[..., c - j:c - j + n] + xp[..., c + j:c + j + n]) * k[c - j]
+    return np.moveaxis(out, -1, axis)
+
+
 def mollify(g: GridDensity, cfg: MollifierConfig) -> GridDensity:
     """Discrete separable convolution with a unit-mass kernel."""
-    from scipy import ndimage
-
     if cfg.width < g.spec.h:
         raise InputError("mollifier width must be at least one cell")
     k = _kernel_1d(cfg, g.spec.h)
     out = g.values
     for axis in range(g.spec.dim):
-        out = ndimage.convolve1d(out, k, axis=axis, mode="constant", cval=0.0)
+        out = _convolve_symmetric(out, k, axis)
     # convolution widens the support by the kernel radius
     if not _check_interior_support(np.where(out > 1e-300, out, 0.0)):
         raise InputError("mollified support hits the boundary ring")

@@ -1,5 +1,6 @@
 """Which scipy modules a plqp process loads: `import plqp` costs numpy
-alone, and each command imports only the scipy solvers it runs."""
+alone, each command imports only the scipy solvers it runs, and no plqp
+module uses scipy.ndimage."""
 
 import json
 import os
@@ -41,14 +42,36 @@ RADIAL_CONFIG = {
 }
 
 
+# builds a 32^2 ramp ball, runs the code given in argv[1], then prints the
+# scipy modules loaded so far as the last line
+SNIPPET_CHILD = """
+import json, sys
+from plqp.measures import GridSpec, make_ramp_ball
+
+g = make_ramp_ball(GridSpec(2, (32, 32), 0.125, (-1.9375, -1.9375)), (0.0, 0.0), 0.5, 0.3, guard=0.05)
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def run_child(*args):
+    """Last stdout line of a fresh interpreter, parsed as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plqp.__file__).resolve().parents[1])}
+    r = subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
 def loaded_after(*argvs):
     """The scipy modules loaded after `import plqp, plqp.cli` and after each
     command, in one fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(plqp.__file__).resolve().parents[1])}
-    r = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    return [set(mods) for mods in json.loads(r.stdout.splitlines()[-1])]
+    return [set(mods) for mods in run_child(CHILD, json.dumps(argvs))]
+
+
+def loaded_by(code):
+    """The scipy modules loaded by `code`, run on the ball `g` in a fresh
+    interpreter."""
+    return set(run_child(SNIPPET_CHILD, code))
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +85,37 @@ def files(tmp_path_factory):
 
 
 def test_import_mms_and_curve_load_no_scipy(files):
-    imported, mms, curve = loaded_after(
+    imported, mms, translate, dilate = loaded_after(
         ["mms", "--config", str(files / "radial.json"), "--out", str(files / "mms")],
         ["curve", "--kind", "translate", "--grid", str(files / "a.csv"), "--param", "0.1875,0",
          "--times", "0,0.5,1", "--out", str(files / "curve")],
+        ["curve", "--kind", "dilate", "--grid", str(files / "a.csv"), "--param", "1.2",
+         "--times", "0,0.5,1", "--guard", "0.05", "--out", str(files / "dilate")],
     )
-    assert imported == mms == curve == set()
+    assert imported == mms == translate == dilate == set()
+
+
+def test_mollify_loads_no_scipy():
+    assert loaded_by(
+        "from plqp.measures import MollifierConfig, mollify\n"
+        "mollify(g, MollifierConfig(0.25))"
+    ) == set()
+
+
+def test_trace_characteristics_loads_no_ndimage():
+    loaded = loaded_by(
+        "from plqp.dynamics import trace_characteristics\n"
+        "from plqp.measures import dilate_curve\n"
+        "trace_characteristics(dilate_curve(g, 1.2, [0.0, 0.5, 1.0], guard=0.05), 200)"
+    )
+    # the W_1 comparison solves one transport LP
+    assert "scipy.optimize" in loaded
+    assert "scipy.ndimage" not in loaded
+
+
+def test_no_plqp_module_names_ndimage():
+    src = Path(plqp.__file__).resolve().parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "ndimage" in p.read_text()] == []
 
 
 def test_bottleneck_distance_loads_csgraph_only(files):

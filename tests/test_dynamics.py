@@ -504,6 +504,19 @@ def test_trace_dilation_scales_radii(M):
     assert np.abs(ratios / M - 1).max() <= 0.05
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_trace_overflowing_step_exits_grid():
+    # a finite field so large that the half step overflows: the particles
+    # become NaN, which must count as leaving the grid
+    spec = square_grid(32, 4.0)
+    g = make_ramp_ball(spec, (0.0, 0.0), 0.5, 0.3, guard=0.05)
+    traj = dilate_curve(g, 1.2, [0.0, 0.5, 1.0], guard=0.05)
+    huge = np.full(traj.field.at(0).shape, 1e308)
+    fast = Trajectory(traj.times, traj.densities, VelocityField(traj.times, (huge,) * 3))
+    with pytest.raises(InputError, match="particle exits grid"):
+        trace_characteristics(fast, 200)
+
+
 def test_trace_requires_field():
     spec = square_grid(32, 2.0)
     g = make_ramp_ball(spec, (0.0, 0.0), 0.6, 0.2, guard=0.02)

@@ -707,6 +707,15 @@ def test_cli_curve_dilate_guard(tmp_path):
         assert g.mass == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("param, times", [("1e200", "0,1"), ("1.2", "0,1e308"), ("0.5", "0,1,3")])
+def test_cli_curve_dilate_bad_factor_exits_2(fuzz_dir, tmp_path, param, times):
+    out = tmp_path / "out"
+    rc, err = run_main("curve", "--kind", "dilate", "--grid", str(fuzz_dir / "a.csv"),
+                       "--param", param, "--times", times, "--out", str(out))
+    assert rc == 2 and err.startswith("error: dilation factor")
+    assert_clean_exit(rc, err, out)
+
+
 @pytest.mark.parametrize("guard", ["abc", "", "nan", "inf", "1e-3x"])
 def test_cli_curve_malformed_guard_exits_2(fuzz_dir, guard):
     out = fuzz_dir / "out"

@@ -11,6 +11,7 @@ from plqp.measures import (
     DiscreteMeasure,
     GridDensity,
     MollifierConfig,
+    Trajectory,
     coarse_measure,
     dilate_curve,
     grid_to_atoms,
@@ -316,6 +317,26 @@ def test_dilate_endpoint_density():
     assert l1 < 0.02
 
 
+@pytest.mark.parametrize(
+    "M, times",
+    [
+        (1e200, [0.0, 1.0]),  # lam^2 overflows
+        (1.2, [0.0, 1e308]),  # lam = 2e307, lam^2 overflows
+        (1e-200, [0.0, 1.0]),  # lam^2 underflows to 0
+        (0.5, [0.0, 1.0, 3.0]),  # lam = -0.5: a point reflection through t = 2
+        (0.5, [0.0, 2.0]),  # lam = 0
+        (math.nan, [0.0, 1.0]),
+        (math.inf, [0.0, 1.0]),
+        (0.0, [0.0, 1.0]),
+    ],
+)
+def test_dilate_rejects_factor_without_finite_positive_power(M, times):
+    spec = square_grid(32, 3.0)
+    g = make_ramp_ball(spec, (0.0, 0.0), 0.6, 0.2)
+    with pytest.raises(InputError, match="dilation factor"):
+        dilate_curve(g, M, times)
+
+
 def test_dilate_field_sup_norm_bound():
     # |v_t| <= R |M - 1| on the support once (1+M) spt(mu) fits in B_R
     spec = square_grid(96, 5.0)
@@ -358,6 +379,20 @@ def test_mollify_width_guard():
     g = make_ramp_ball(spec, (0.0, 0.0), 0.6, 0.2)
     with pytest.raises(InputError):
         mollify(g, MollifierConfig(0.1 * spec.h, "gaussian"))
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_mollifier_rejects_nonpositive_or_nonfinite_width(width):
+    with pytest.raises(InputError, match="mollifier width"):
+        MollifierConfig(width)
+
+
+def test_trajectory_rejects_nonfinite_times():
+    spec = square_grid(32, 2.0)
+    g = make_ramp_ball(spec, (0.0, 0.0), 0.6, 0.2, guard=0.02)
+    for times in ((0.0, math.nan, 1.0), (0.0, 1.0, math.inf), (-math.inf, 0.0, 1.0)):
+        with pytest.raises(InputError, match="finite"):
+            Trajectory(times, (g, g, g))
 
 
 def test_mollify_boundary_guard():

@@ -32,16 +32,18 @@ Blocks share no edge, so each instance is decided exactly as when it runs
 alone and sees the same thresholds; its witness is its block's flow at its
 last feasible step, which is its optimal threshold.
 
-Weights are scaled to integers with totals of 1e9 (the 32-bit max-flow
-backend wraps above 2^31).  The capacities then differ from the float
-weights by the amounts bounded in `_scaling.scale_pair`: rounding, sub-unit
-weights raised to one unit, and the units that reconcile the two totals.
+Weights are scaled to integers with totals of 1e9 by `scale_pair` (the
+32-bit max-flow backend wraps above 2^31).  The capacities then differ from
+the float weights by the amounts it bounds: rounding, sub-unit weights
+raised to one unit, and the units that reconcile the two totals.
 That mass grows with the atom count (4.4e-7 on 1248-atom mollified ramp
 balls), so the witness plan can miss the transport module's MARGINAL_TOL
 against the float weights, and the threshold is exact for the scaled
 weights.  Equal weights round to equal capacities, so uniform instances are
 solved exactly.  For measures derived from grids, cell-center quantization
-adds at most h*sqrt(n)/2 per measure to the distance.
+adds at most h*sqrt(n)/2 per measure to the distance.  What a search reads
+is the two point sets and these capacities, and nothing else: `instance_key`
+returns them, so a caller that caches results keys on it.
 
 `quantile_gaps` is the one kernel of the monotone (quantile) coupling on the
 line, read by `winf_radial`, the radial scheme sweeps and
@@ -50,37 +52,71 @@ line, read by `winf_radial`, the radial scheme sweeps and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._scaling import scale_pair
 from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
-from .transport import Coupling, _assignments, _batches, _pairwise_distances
+from .transport import Coupling, _assignments, _batches, _check_pairs, _pairwise_distances
 
-# atoms per side; PLQP_MAX_ATOMS overrides it.  Set from the budget of
-# transport.MAX_DENSE_ATOMS, about 5 s and 300 MB peak RSS per solve.  Peak
-# RSS grows with m x n, about 46 bytes per atom pair over an 82 MB
-# interpreter.  Measured on ramp-ball pairs (R = 0.5 against 0.5 or 0.6,
-# w = 0.2, grids of extent 2), one core of a 2-vCPU x86_64 VM: 2009 x 2010
-# atoms in 0.41 s at 267 MB, 1804 x 2604 in 0.52 s at 297 MB, 2472 x 3551 in
-# 3.4 s at 484 MB, 2828 x 4060 in 4.3 s at 608 MB.
-MAX_ATOMS_DEFAULT = 2_000
+# hard cap on atoms per side, as transport.MAX_DENSE_ATOMS is, and set from
+# its budget of about 5 s and 300 MB peak RSS per solve.  Peak RSS grows with
+# m x n, about 46 bytes per atom pair over an 82 MB interpreter.  Measured on
+# ramp-ball pairs (R = 0.5 against 0.5 or 0.6, w = 0.2, grids of extent 2),
+# one core of a 2-vCPU x86_64 VM: 2009 x 2010 atoms in 0.41 s at 267 MB,
+# 1804 x 2604 in 0.52 s at 297 MB, 2472 x 3551 in 3.4 s at 484 MB, 2828 x
+# 4060 in 4.3 s at 608 MB.
+MAX_ATOMS = 2_000
 # atom pairs (m x n, summed over instances) per lockstep batch of `winf_many`.
 # Random 2D pairs on one core of a 2-vCPU x86_64 VM, one search per pair ->
 # lockstep: 50 pairs of 25 0.146 -> 0.009 s, 20 of 10,000 0.30 -> 0.18 s;
 # 8 of 90,000 took 0.58 s either way, so larger batches only hold more memory.
 LOCKSTEP_PAIRS = 160_000
+# `scale_pair` scales each side's weights to integers totalling about this
+FLOW32_SCALE = 10**9
 
 
-def _max_atoms() -> int:
-    raw = os.environ.get("PLQP_MAX_ATOMS", MAX_ATOMS_DEFAULT)
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"PLQP_MAX_ATOMS must be an integer, got {raw!r}") from None
+def scale_pair(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Scale two weight vectors to int64 capacities with equal totals.
+
+    Returns (a, b, total).  Each weight is rounded independently, so equal
+    weights stay equal and a uniform instance stays uniform, which matters
+    for bottleneck feasibility.  Against the float weights (times
+    FLOW32_SCALE), each capacity moves by at most 0.5 units from rounding;
+    weights that round to zero are raised to one unit; and `_spread` then
+    adds the difference of the two totals to the largest entries of the
+    smaller side.  The total mass moved therefore grows with the atom count:
+    4.4e-7 on mollified ramp balls of 1248 atoms.  On uniform instances the
+    two totals already agree and nothing is spread.
+    """
+    a = np.rint(np.asarray(wa, dtype=float) * FLOW32_SCALE).astype(np.int64)
+    b = np.rint(np.asarray(wb, dtype=float) * FLOW32_SCALE).astype(np.int64)
+    a = np.maximum(a, 1)
+    b = np.maximum(b, 1)
+    diff = int(a.sum() - b.sum())
+    if diff > 0:
+        _spread(b, diff)
+    elif diff < 0:
+        _spread(a, -diff)
+    return a, b, int(a.sum())
+
+
+def _spread(v: np.ndarray, units: int) -> None:
+    """Add `units` units in turns of one unit per entry: every entry gets
+    units // len(v), and the units % len(v) largest (in index order on
+    ties) one more."""
+    order = np.argsort(-v, kind="stable")
+    q, r = divmod(units, len(v))
+    v += q
+    v[order[:r]] += 1
+
+
+def instance_key(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[bytes, ...]:
+    """Everything a `winf` search reads of one pair: both point sets and the
+    integer capacities.  Equal keys give equal results."""
+    a, b, _ = scale_pair(mu.weights, nu.weights)
+    return (mu.points.tobytes(), nu.points.tobytes(), a.tobytes(), b.tobytes())
 
 
 @dataclass(frozen=True)
@@ -260,12 +296,7 @@ def winf_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]]) -> list[Bott
     sees the same thresholds, and so gets the same value and threshold
     index, as when it runs alone.
     """
-    cap = _max_atoms()
-    for mu, nu in pairs:
-        if len(mu) > cap or len(nu) > cap:
-            raise InputError(f"instance exceeds PLQP_MAX_ATOMS={cap} atoms per side")
-        if mu.dim != nu.dim:
-            raise InputError("dimension mismatch between measures")
+    _check_pairs(pairs, MAX_ATOMS)
     out = []
     for run in _batches([len(mu) * len(nu) for mu, nu in pairs], LOCKSTEP_PAIRS):
         searches = [_Search(*pairs[k]) for k in run]

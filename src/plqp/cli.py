@@ -204,14 +204,14 @@ def cmd_mms(args) -> dict:
             anchor,
             _points(fam_cfg["centers"], "family centers"),
             _reals(fam_cfg["outer_radii"], "family outer_radii"),
-            rings=_integer(fam_cfg.get("rings", 8), "family rings", least=1),
-            levels=_integer(fam_cfg.get("levels", 32), "family levels", least=1),
+            rings=_integer(fam_cfg.get("rings", 8), "family rings"),
+            levels=_integer(fam_cfg.get("levels", 32), "family levels"),
         )
     elif kind == "grid":
         family = GridSearchFamily(
             quantum=_real(fam_cfg.get("quantum", 1e-3), "family quantum"),
-            budget=_integer(fam_cfg.get("budget", 200), "family budget", least=0),
-            coarse_bins=_integer(fam_cfg.get("coarse_bins", 12), "family coarse_bins", least=1),
+            budget=_integer(fam_cfg.get("budget", 200), "family budget"),
+            coarse_bins=_integer(fam_cfg.get("coarse_bins", 12), "family coarse_bins"),
         )
     else:
         raise InputError(f"unknown family kind {kind!r}")

@@ -5,11 +5,14 @@ so the discrete mass sum(values) * h^n equals 1.  Compact support is enforced
 as a one-cell zero ring at the grid boundary.  Dimensions are restricted to
 n in {1, 2}.
 
-Multilinear sampling (`_linear_table` and `_linear_sample`, used by the
-dilation curve and by characteristic tracing in `dynamics`) and the
-mollifier's separable convolution are plain numpy, written to round exactly
-as scipy's order-1 `map_coordinates` and `convolve1d` do, so these outputs
-are the same bytes without loading scipy.
+Multilinear sampling (`_linear_table` and `_linear_sample`) is the one
+off-grid sampler: the translation and dilation curves read it through
+`_interp_values`, and characteristic tracing in `dynamics` directly.  It and
+the mollifier's separable convolution are plain numpy, written to round
+exactly as scipy's order-1 `map_coordinates` and `convolve1d` do, so these
+outputs are the same bytes without loading scipy.  At a whole-cell index the
+sampler returns the cell's value (a -0.0 as +0.0), so whole-cell
+translations are exact index shifts.
 """
 
 from __future__ import annotations
@@ -368,58 +371,6 @@ def multiball_component_masses(
     return out
 
 
-def _shift_values(g: GridDensity, shift: np.ndarray) -> np.ndarray:
-    """Sample g(. - shift) on the grid; exact index shift for integer shifts,
-    separable linear interpolation otherwise (O(h) accurate)."""
-    vals = g.values
-    h = g.spec.h
-    out = vals
-    for axis in range(g.spec.dim):
-        s = shift[axis] / h
-        k = math.floor(s)
-        alpha = s - k
-        if abs(alpha) < 1e-12 or abs(alpha - 1.0) < 1e-12:
-            k = round(s)
-            out = _int_shift(out, axis, k)
-        else:
-            out = (1 - alpha) * _int_shift(out, axis, k) + alpha * _int_shift(out, axis, k + 1)
-    return out
-
-
-def _int_shift(vals: np.ndarray, axis: int, k: int) -> np.ndarray:
-    """Shift along axis by k cells, filling with zeros."""
-    if k == 0:
-        return vals
-    out = np.zeros_like(vals)
-    src = [slice(None)] * vals.ndim
-    dst = [slice(None)] * vals.ndim
-    if k > 0:
-        dst[axis] = slice(k, None)
-        src[axis] = slice(None, -k)
-    else:
-        dst[axis] = slice(None, k)
-        src[axis] = slice(-k, None)
-    out[tuple(dst)] = vals[tuple(src)]
-    return out
-
-
-def translate_curve(g: GridDensity, V: tuple[float, ...], times: list[float]) -> Trajectory:
-    """Rigid translation t -> g(. - t*V) with the constant velocity field V."""
-    V = np.asarray(V, dtype=float)
-    if V.shape != (g.spec.dim,):
-        raise InputError("velocity dimension mismatch")
-    densities = []
-    for t in times:
-        shifted = _shift_values(g, t * V)
-        lost = 1.0 - shifted.sum() * g.spec.cell_volume
-        if abs(lost) > MASS_TOL or not _check_interior_support(shifted):
-            raise InputError(f"support exits grid at t={t}")
-        densities.append(GridDensity(g.spec, shifted))
-    const = np.broadcast_to(V, (*g.spec.shape, g.spec.dim)).copy()
-    field = VelocityField(tuple(times), tuple(const for _ in times))
-    return Trajectory(tuple(times), tuple(densities), field)
-
-
 def _linear_table(idx: list[np.ndarray], shape: tuple[int, ...]) -> list:
     """Corners of order-1 (multilinear) sampling at fractional cell indices.
 
@@ -475,6 +426,38 @@ def _interp_values(values: np.ndarray, idx: list[np.ndarray]) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
+def translate_curve(g: GridDensity, V: tuple[float, ...], times: list[float]) -> Trajectory:
+    """Rigid translation t -> g(. - t*V) with the constant velocity field V.
+
+    Each state samples g at the cell indices i - tV/h with the order-1
+    sampler, as `dilate_curve` does (O(h) accurate).  A shift within 1e-12
+    cells of a whole number of cells is taken as that number, so a
+    whole-cell move gives the values index-shifted, with zeros shifted in.
+    """
+    V = np.asarray(V, dtype=float)
+    spec = g.spec
+    if V.shape != (spec.dim,):
+        raise InputError("velocity dimension mismatch")
+    densities = []
+    for t in times:
+        idx = []
+        for a, n in enumerate(spec.shape):
+            s = t * float(V[a]) / spec.h
+            if not math.isfinite(s):
+                raise InputError(f"support exits grid at t={t}")
+            if abs(s - round(s)) < 1e-12:
+                s = float(round(s))
+            idx.append((np.arange(n) - s).reshape([-1 if b == a else 1 for b in range(spec.dim)]))
+        shifted = _interp_values(g.values, idx)
+        lost = 1.0 - shifted.sum() * spec.cell_volume
+        if abs(lost) > MASS_TOL or not _check_interior_support(shifted):
+            raise InputError(f"support exits grid at t={t}")
+        densities.append(GridDensity(spec, shifted))
+    const = np.broadcast_to(V, (*spec.shape, spec.dim)).copy()
+    field = VelocityField(tuple(times), tuple(const for _ in times))
+    return Trajectory(tuple(times), tuple(densities), field)
+
+
 def dilation_rate(M: float, t: float) -> float:
     """Radial expansion rate (M-1)/(1+t(M-1)) of the dilation curve."""
     return (M - 1.0) / (1.0 + t * (M - 1.0))
@@ -526,18 +509,37 @@ def dilate_curve(
     return Trajectory(tuple(times), tuple(densities), field)
 
 
+def _kernel_half(cfg: MollifierConfig, h: float) -> int:
+    """Half-length in cells of the kernel: 4 widths for the gaussian, one
+    for the triangle."""
+    return max(1, math.ceil((4 if cfg.kernel == "gaussian" else 1) * cfg.width / h))
+
+
 def _kernel_1d(cfg: MollifierConfig, h: float) -> np.ndarray:
     """Odd unit-mass kernel, exactly symmetric: the offsets -j*h and j*h
     differ only in sign."""
+    half = _kernel_half(cfg, h)
+    u = np.arange(-half, half + 1) * h
     if cfg.kernel == "gaussian":
-        half = max(1, int(math.ceil(4 * cfg.width / h)))
-        u = np.arange(-half, half + 1) * h
         k = np.exp(-0.5 * (u / cfg.width) ** 2)
     else:  # triangular
-        half = max(1, int(math.ceil(cfg.width / h)))
-        u = np.arange(-half, half + 1) * h
         k = np.clip(1.0 - np.abs(u) / cfg.width, 0.0, None)
     return k / k.sum()
+
+
+def _kernel_reach(cfg: MollifierConfig, h: float) -> tuple[int, float]:
+    """(r, floor) of the kernel of `_kernel_1d`, without building it: each
+    entry at an offset of at most r cells is at least floor.
+
+    Before normalizing, every entry is at most 1, so the sum divides by at
+    most 2 half + 1.  A gaussian's last entry, at half h < 5 widths (width
+    >= h), exceeds e^-12.5.  A triangle's last entry can be 0, so its r is
+    one less, and its entry there is computed as `_kernel_1d` computes it.
+    """
+    half = _kernel_half(cfg, h)
+    if cfg.kernel == "gaussian":
+        return half, math.exp(-12.5) / (2 * half + 1)
+    return half - 1, max(0.0, 1.0 - (half - 1) * h / cfg.width) / (2 * half + 1)
 
 
 def _convolve_symmetric(x: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
@@ -558,6 +560,16 @@ def mollify(g: GridDensity, cfg: MollifierConfig) -> GridDensity:
     """Discrete separable convolution with a unit-mass kernel."""
     if cfg.width < g.spec.h:
         raise InputError("mollifier width must be at least one cell")
+    # a cell of value v puts at least v floor^d, less rounding, on each cell
+    # within r of it along one axis: more than 1e-300 if v floor^d > 2e-300.
+    # If such a cell lies within r of the boundary ring, the check after the
+    # convolution fails, so fail before building a kernel that can be far
+    # wider than the grid
+    r, floor = _kernel_reach(cfg, g.spec.h)
+    heavy = np.nonzero(g.values * floor**g.spec.dim > 2e-300)
+    for i, n in zip(heavy, g.spec.shape):
+        if len(i) and min(i.min(), n - 1 - i.max()) <= r:
+            raise InputError("mollified support hits the boundary ring")
     k = _kernel_1d(cfg, g.spec.h)
     out = g.values
     for axis in range(g.spec.dim):

@@ -25,8 +25,8 @@ minimality only:
   transfers between adjacent cells; the transport part of the distance is
   evaluated on coarse-binned atoms (`coarse_measure`, sub-sampling factor
   recorded).  Within one resolvent call each distinct coarse pair is solved
-  once, keyed on what the bottleneck solver reads (the coarse points and the
-  integer capacities of both sides), so a reused value equals a fresh solve.
+  once, keyed on what the bottleneck solver reads (`bottleneck.instance_key`),
+  so a reused value equals a fresh solve.
 
 Both searches score bound first.  A candidate's value is
     phi + (B + L)^2 / (2 tau)
@@ -58,7 +58,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bottleneck
-from ._scaling import scale_pair
 from .bottleneck import quantile_gaps, quantile_reference, winf_grid
 # unused here but stays bound: perfbench/tracer.py patches it
 from .bottleneck import winf_radial  # noqa: F401
@@ -133,6 +132,10 @@ class RadialFamily:
             raise InputError(f"outer radii must be positive, got {self.outer_radii}")
         if self.rings < 1 or self.rings > 8:
             raise InputError("rings must be in 1..8")
+        if self.levels < 1:
+            raise InputError(f"levels must be >= 1, got {self.levels}")
+        if self.max_sweeps < 0:
+            raise InputError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
         if abs(sum(self.masses) - 1.0) > 1e-9:
             raise InputError("component masses must sum to 1")
 
@@ -514,10 +517,10 @@ class _CoarseBottleneck:
     """Coarse bottleneck from grid states to one fixed anchor.
 
     Most moves of the grid search leave the coarse-binned measure unchanged,
-    so each distinct coarse pair is solved once, keyed on exactly what `winf`
-    reads: the coarse support points and the integer capacities of both
-    sides.  A reused value is therefore the value a fresh solve returns.  One
-    instance serves one resolvent call.
+    so each distinct coarse pair is solved once, keyed on
+    `bottleneck.instance_key`, which holds exactly what `winf` reads.  A
+    reused value is therefore the value a fresh solve returns.  One instance
+    serves one resolvent call.
     """
 
     def __init__(self, anchor: GridDensity, bins: int):
@@ -527,8 +530,7 @@ class _CoarseBottleneck:
 
     def __call__(self, g: GridDensity) -> float:
         coarse = _coarse(g, self.bins)
-        a, b, _ = scale_pair(coarse.weights, self.anchor.weights)
-        key = (coarse.points.tobytes(), a.tobytes(), b.tobytes())
+        key = bottleneck.instance_key(coarse, self.anchor)
         if key not in self.solved:
             self.solved[key] = bottleneck.winf(coarse, self.anchor).value
         return self.solved[key]

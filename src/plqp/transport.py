@@ -395,6 +395,16 @@ def _costs(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> tuple[np.ndarr
     return D, Cq
 
 
+def _check_pairs(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], cap: int) -> None:
+    """InputError unless every pair has at most `cap` atoms per side and one
+    dimension: the input checks of the exact solvers, each at its own cap."""
+    for mu, nu in pairs:
+        if len(mu) > cap or len(nu) > cap:
+            raise InputError(f"instance exceeds {cap} atoms per side")
+        if mu.dim != nu.dim:
+            raise InputError("dimension mismatch between measures")
+
+
 def wq_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> list[TransportResult]:
     """Exact optimum of the transport problem with ground cost d(x, y)^q for
     every pair (mu, nu), in order.
@@ -410,11 +420,7 @@ def wq_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> l
         raise InputError("q = inf: use the bottleneck module")
     if q < 1:
         raise InputError("need q >= 1")
-    for mu, nu in pairs:
-        if len(mu) > MAX_DENSE_ATOMS or len(nu) > MAX_DENSE_ATOMS:
-            raise InputError(f"instance exceeds {MAX_DENSE_ATOMS} atoms per side")
-        if mu.dim != nu.dim:
-            raise InputError("dimension mismatch between measures")
+    _check_pairs(pairs, MAX_DENSE_ATOMS)
     small = [k for k, (mu, nu) in enumerate(pairs) if len(mu) * len(nu) <= FULL_EDGE_PAIRS]
     costs = {k: _costs(*pairs[k], q) for k in small}
     out: list[TransportResult | None] = [None] * len(pairs)

@@ -14,6 +14,21 @@ def square_grid(n: int, extent: float, dim: int = 2) -> GridSpec:
     return GridSpec(dim, (n,) * dim, h, origin)
 
 
+def int_shift(vals: np.ndarray, axis: int, k: int) -> np.ndarray:
+    """`vals` shifted along `axis` by k cells, filling with zeros."""
+    out = np.zeros_like(vals)
+    src = [slice(None)] * vals.ndim
+    dst = [slice(None)] * vals.ndim
+    if k >= 0:
+        dst[axis] = slice(k, None)
+        src[axis] = slice(None, vals.shape[axis] - k)
+    else:
+        dst[axis] = slice(None, k)
+        src[axis] = slice(-k, None)
+    out[tuple(dst)] = vals[tuple(src)]
+    return out
+
+
 def line_grid(n: int, extent: float, left: float = 0.0) -> GridSpec:
     h = extent / n
     return GridSpec(1, (n,), h, (left + h / 2,))

@@ -35,7 +35,6 @@ from plqp.measures import (
     DiscreteMeasure,
     GridDensity,
     Trajectory,
-    _int_shift,
     dilate_curve,
     grid_to_atoms,
     make_multiball,
@@ -47,7 +46,7 @@ from plqp.mms import RadialFamily, ResolventProblem, StepPartition, run_scheme
 from plqp.plmetric import PLMetricParams, dqp, metric_derivative
 from plqp.transport import monotone_1d, wq, wq_permutation_oracle
 
-from helpers import random_blob, square_grid
+from helpers import int_shift, random_blob, square_grid
 
 
 def report(n, ok, detail, elapsed, budget):
@@ -208,7 +207,7 @@ def test_criterion_6_dynamic_lower_bound_one_step():
         f0 = random_blob(rng, spec)
         ax = int(rng.integers(0, 2))
         sgn = int(rng.choice([-1, 1]))
-        f1 = GridDensity(spec, _int_shift(f0.values, ax, sgn))
+        f1 = GridDensity(spec, int_shift(f0.values, ax, sgn))
         rec = reconstruct_velocity(Trajectory((0.0, 1.0), (f0, f1)), "linf")
         worst = min(worst, rec.sup_norms[0] - (winf_grid(f0, f1).value - 1e-6))
     lower_ok = worst >= 0

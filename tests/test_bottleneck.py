@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plqp import bottleneck
-from plqp._scaling import scale_pair
 from plqp.bottleneck import (
     RadialMeasure,
     neighborhood_check,
@@ -106,6 +105,65 @@ def test_witness_attains_value_exactly():
         assert res.witness_plan.check_marginals(a, b, tol=2e-9) <= 2e-9
 
 
+def ref_scale_pair(wa, wb):
+    """The capacities as they were made before `_spread` added its units in
+    whole turns: one unit at a time, cycling over the descending order."""
+    a = np.maximum(np.rint(np.asarray(wa, dtype=float) * 10**9).astype(np.int64), 1)
+    b = np.maximum(np.rint(np.asarray(wb, dtype=float) * 10**9).astype(np.int64), 1)
+    diff = int(a.sum() - b.sum())
+    v, units = (b, diff) if diff > 0 else (a, -diff)
+    order = np.argsort(-v, kind="stable")
+    for i in range(units):
+        v[order[i % len(v)]] += 1
+    return a, b, int(a.sum())
+
+
+def weight_cases(rng):
+    for _ in range(40):
+        yield rng.dirichlet(np.ones(rng.integers(1, 60))), rng.dirichlet(np.ones(rng.integers(1, 60)))
+    for m, n in [(1, 1), (3, 3), (7, 5), (1000, 999)]:
+        yield np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    # sub-unit weights, raised to one unit: more units than entries to spread
+    for m in (3, 50):
+        tiny = np.full(m, 1e-12)
+        tiny[0] = 1.0 - tiny[1:].sum()
+        yield tiny, np.full(2, 0.5)
+        yield np.full(4, 0.25), tiny
+    # very unequal sides and magnitudes
+    yield np.array([1.0 - 1e-9, 1e-9]), rng.dirichlet(np.ones(1500))
+    yield rng.dirichlet(np.full(2000, 0.05)), np.array([0.3, 0.7])
+
+
+def test_scale_pair_matches_one_unit_spreading():
+    for wa, wb in weight_cases(np.random.default_rng(108)):
+        got, want = bottleneck.scale_pair(wa, wb), ref_scale_pair(wa, wb)
+        assert got[2] == want[2]
+        for x, y in zip(got[:2], want[:2]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_instance_key_holds_what_winf_reads():
+    rng = np.random.default_rng(109)
+    pts = rng.uniform(0, 1, (6, 2))
+    mu = DiscreteMeasure(pts, rng.dirichlet(np.ones(6)))
+    nu = DiscreteMeasure(rng.uniform(0, 1, (4, 2)), np.full(4, 0.25))
+    key = bottleneck.instance_key(mu, nu)
+    # weights that round to the same capacities give the same key and result
+    w = mu.weights.copy()
+    w[0] += 1e-13
+    w[1] -= 1e-13
+    twin = DiscreteMeasure(pts, w)
+    assert twin.weights.tobytes() != mu.weights.tobytes()
+    assert bottleneck.instance_key(twin, nu) == key
+    assert winf(twin, nu).value == winf(mu, nu).value
+    # any point, any capacity or the side order changes it
+    moved = DiscreteMeasure(pts + [[1e-9, 0.0]], mu.weights)
+    heavier = DiscreteMeasure(pts, np.roll(mu.weights, 1))
+    for other in (bottleneck.instance_key(moved, nu), bottleneck.instance_key(heavier, nu),
+                  bottleneck.instance_key(nu, mu)):
+        assert other != key
+
+
 def test_winf_many_matches_singleton_winf():
     rng = np.random.default_rng(106)
     pairs = []
@@ -119,7 +177,7 @@ def test_winf_many_matches_singleton_winf():
             b = DiscreteMeasure(rng.uniform(0, 10, (n, 2)), rng.dirichlet(np.ones(n)))
         pairs.append((a, b))
     # the union's total flow exceeds 2^31: no instance may read it
-    assert sum(scale_pair(a.weights, b.weights)[2] for a, b in pairs) > 2**31
+    assert sum(bottleneck.scale_pair(a.weights, b.weights)[2] for a, b in pairs) > 2**31
     many = winf_many(pairs)
     for (a, b), res in zip(pairs, many):
         one = winf(a, b)
@@ -275,15 +333,14 @@ def test_winf_many_batches_by_pair_count(monkeypatch):
 
 
 def test_size_cap(monkeypatch):
-    # the default cap is MAX_ATOMS_DEFAULT atoms per side; PLQP_MAX_ATOMS moves it
-    monkeypatch.delenv("PLQP_MAX_ATOMS", raising=False)
-    cap = bottleneck.MAX_ATOMS_DEFAULT
+    # MAX_ATOMS atoms per side; the cap is read at each call
+    cap = bottleneck.MAX_ATOMS
     line = np.arange(cap + 1, dtype=float)[:, None]
     big = DiscreteMeasure(line, np.full(cap + 1, 1.0 / (cap + 1)))
     one = DiscreteMeasure([[0.0]], [1.0])
-    with pytest.raises(InputError, match=f"PLQP_MAX_ATOMS={cap} atoms"):
+    with pytest.raises(InputError, match=f"exceeds {cap} atoms per side"):
         winf(big, one)
-    monkeypatch.setenv("PLQP_MAX_ATOMS", str(cap + 1))
+    monkeypatch.setattr(bottleneck, "MAX_ATOMS", cap + 1)
     assert winf(big, one).value == cap
 
 

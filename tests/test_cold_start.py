@@ -113,9 +113,22 @@ def test_trace_characteristics_loads_no_ndimage():
     assert "scipy.ndimage" not in loaded
 
 
-def test_no_plqp_module_names_ndimage():
+def modules_naming(word: str) -> list[str]:
     src = Path(plqp.__file__).resolve().parent
-    assert [p.name for p in sorted(src.glob("*.py")) if "ndimage" in p.read_text()] == []
+    return [p.name for p in sorted(src.glob("*.py")) if word in p.read_text()]
+
+
+def test_no_plqp_module_names_ndimage():
+    assert modules_naming("ndimage") == []
+
+
+def test_no_plqp_module_reads_the_environment():
+    assert modules_naming("environ") == []
+
+
+def test_only_bottleneck_names_the_capacity_scaling():
+    # what winf reads has one owner; callers key on bottleneck.instance_key
+    assert modules_naming("scale_pair") == ["bottleneck.py"]
 
 
 def test_bottleneck_distance_loads_csgraph_only(files):

@@ -20,13 +20,12 @@ from plqp.measures import (
     GridDensity,
     Trajectory,
     VelocityField,
-    _int_shift,
     dilate_curve,
     make_ramp_ball,
     translate_curve,
 )
 
-from helpers import random_blob, square_grid, two_ball_swap
+from helpers import int_shift, random_blob, square_grid, two_ball_swap
 
 
 def const_field(spec, V, times):
@@ -224,7 +223,7 @@ def test_reconstruct_lower_bound_against_bottleneck():
         f0 = random_blob(rng, spec)
         ax = int(rng.integers(0, 2))
         sgn = int(rng.choice([-1, 1]))
-        f1 = GridDensity(spec, _int_shift(f0.values, ax, sgn))
+        f1 = GridDensity(spec, int_shift(f0.values, ax, sgn))
         traj = Trajectory((0.0, 1.0), (f0, f1))
         rec = reconstruct_velocity(traj, "linf")
         assert rec.sup_norms[0] >= winf_grid(f0, f1).value - 1e-6
@@ -284,11 +283,11 @@ def oracle_pairs():
         f0 = random_blob(rng, spec)
         ax = int(rng.integers(0, 2))
         sgn = int(rng.choice([-1, 1]))
-        yield f0, GridDensity(spec, _int_shift(f0.values, ax, sgn)), 1.0
+        yield f0, GridDensity(spec, int_shift(f0.values, ax, sgn)), 1.0
     # a whole-cell translation on the 32^2 grid of the continuity benchmark
     spec = square_grid(32, 4.0)
     g = make_ramp_ball(spec, (0.0, 0.0), 1.0, 0.4, guard=0.05)
-    yield g, GridDensity(spec, _int_shift(g.values, 0, 1)), 0.25
+    yield g, GridDensity(spec, int_shift(g.values, 0, 1)), 0.25
 
 
 def test_sup_norm_phase1_matches_inequality_row_oracle():

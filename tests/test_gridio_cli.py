@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from plqp import cli, gridio
 from plqp.errors import InputError
-from plqp.measures import _int_shift, make_ramp_ball, translate_curve
+from plqp.measures import make_ramp_ball, translate_curve
 
-from helpers import square_grid, two_ball_swap
+from helpers import int_shift, square_grid, two_ball_swap
 
 
 def run_cli(*args):
@@ -192,14 +192,6 @@ def test_cli_dist_bad_exponent_exit_2(ball_file):
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
-def test_cli_dist_bad_atom_cap_exit_2(ball_file, monkeypatch):
-    path, _ = ball_file
-    monkeypatch.setenv("PLQP_MAX_ATOMS", "x")
-    r = run_cli("dist", str(path), str(path))
-    assert r.returncode == 2
-    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
-
-
 def test_cli_isop(ball_file):
     path, ball = ball_file
     r = run_cli("isop", str(path))
@@ -265,7 +257,7 @@ def test_cli_curve_negative_param(tmp_path, ball_file):
     assert r.returncode == 0, r.stderr
     for k in range(3):
         state = gridio.read_grid(out / f"curve_{k:04d}.csv")
-        np.testing.assert_array_equal(state.values, _int_shift(ball.values, 0, -k))
+        np.testing.assert_array_equal(state.values, int_shift(ball.values, 0, -k))
 
 
 RADIAL_CONFIG = {
@@ -520,6 +512,27 @@ def test_cli_malformed_config_document(fuzz_dir):
         rc, err = run_main("mms", "--config", str(path), "--out", str(out))
         assert rc == 2, err
         assert_clean_exit(rc, err, out)
+
+
+@pytest.mark.parametrize(
+    "config, field, value, message",
+    [
+        (RADIAL_CONFIG, "rings", 0, "rings must be in 1..8"),
+        (RADIAL_CONFIG, "levels", 0, "levels must be >= 1"),
+        (GRID_CONFIG, "budget", -1, "move budget must be >= 0"),
+        (GRID_CONFIG, "coarse_bins", 0, "coarse_bins must be >= 1"),
+    ],
+)
+def test_cli_mms_family_bounds_exit_2_with_the_family_message(tmp_path, config, field, value, message):
+    cfg = copy.deepcopy(config)
+    cfg["family"][field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "mmsout"
+    rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
+    assert rc == 2
+    assert err.startswith(f"error: {message}")
+    assert_clean_exit(rc, err, out)
 
 
 # one ramp ball, one radial component

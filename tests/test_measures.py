@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from plqp import measures
 from plqp.errors import InputError
 from plqp.measures import (
     DiscreteMeasure,
@@ -24,7 +25,7 @@ from plqp.measures import (
     translate_curve,
 )
 
-from helpers import indicator_interval, line_grid, square_grid
+from helpers import indicator_interval, int_shift, line_grid, random_blob, square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,61 @@ def test_translate_support_exit_errors():
     g = make_ramp_ball(spec, (0.0, 0.0), 0.6, 0.2)
     with pytest.raises(InputError, match="exit"):
         translate_curve(g, (1.0, 0.0), [0.0, 1.0])
+    # a shift t V / h that overflows leaves the grid too
+    with pytest.raises(InputError, match="exit"):
+        translate_curve(g, (1e308, 0.0), [0.0, 2.0])
+
+
+def ref_shift_values(g, shift):
+    """The translation sampler before it became the order-1 sampler: a pass
+    of whole-cell index shifts per axis, blended linearly between two for a
+    fractional shift."""
+    out = g.values
+    for axis in range(g.spec.dim):
+        s = shift[axis] / g.spec.h
+        k = math.floor(s)
+        alpha = s - k
+        if abs(alpha) < 1e-12 or abs(alpha - 1.0) < 1e-12:
+            out = int_shift(out, axis, round(s))
+        else:
+            out = (1 - alpha) * int_shift(out, axis, k) + alpha * int_shift(out, axis, k + 1)
+    return out
+
+
+def translate_cases(seed, whole):
+    """Random blobs on 1D and 2D grids with whole-cell or fractional moves of
+    up to 3 cells per axis."""
+    rng = np.random.default_rng(seed)
+    for spec in (line_grid(40, 4.0), square_grid(32, 4.0)):
+        for _ in range(15):
+            g = random_blob(rng, spec, margin=5)
+            if whole:
+                # t V / h is a whole number only up to rounding at t = 3
+                yield g, rng.integers(-1, 2, spec.dim) * spec.h, [0.0, 1.0, 2.0, 3.0]
+            else:
+                yield g, rng.uniform(-1, 1, spec.dim) * spec.h, [0.0, *np.sort(rng.uniform(0, 3, 3))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_translate_whole_cells_is_an_index_shift(seed):
+    for g, V, times in translate_cases(seed, whole=True):
+        for t, d in zip(times, translate_curve(g, V, times).densities):
+            want = g.values
+            for axis, v in enumerate(V):
+                want = int_shift(want, axis, round(t * v / g.spec.h))
+            assert d.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_translate_fractional_matches_the_axis_pass_sampler(seed):
+    # the same bilinear formula as before, rounded in another order: the
+    # index i - tV/h rounds to half an ulp of i, so a weight can move by up
+    # to about n eps on a grid of n cells per axis
+    for g, V, times in translate_cases(seed, whole=False):
+        bound = max(g.spec.shape) * np.finfo(float).eps
+        for t, d in zip(times, translate_curve(g, V, times).densities):
+            ref = ref_shift_values(g, t * V)
+            assert np.abs(d.values - ref).max() <= bound * ref.max()
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +456,78 @@ def test_mollify_boundary_guard():
     g = make_ramp_ball(spec, (0.0, 0.0), 0.8, 0.15)
     with pytest.raises(InputError):
         mollify(g, MollifierConfig(6 * spec.h, "gaussian"))
+
+
+def mollify_outcome(g, cfg):
+    try:
+        return mollify(g, cfg).values.tobytes()
+    except InputError as exc:
+        return str(exc)
+
+
+def count_kernels(monkeypatch):
+    built = []
+    kernel = measures._kernel_1d
+    monkeypatch.setattr(measures, "_kernel_1d", lambda cfg, h: built.append(cfg) or kernel(cfg, h))
+    return built
+
+
+def edge_densities():
+    """A 20-cell line holding cells 5..14, the same with values of 1e-305 in
+    cells 1 and 18, and a 24^2 ramp ball."""
+    spec = line_grid(20, 5.0)
+    box = indicator_interval(spec, 1.3, 3.7)
+    faint = box.values.copy()
+    faint[[1, 18]] = 1e-305
+    ball = make_ramp_ball(square_grid(24, 3.0), (0.1, -0.2), 0.8, 0.3, guard=0.05)
+    return [box, GridDensity(spec, faint), ball]
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "triangular"])
+def test_mollify_early_rejection_keeps_the_outcomes(kernel, monkeypatch):
+    # widths from one to twelve cells, whole multiples of h among them (a
+    # triangle then ends in a 0 entry); the reference builds every kernel
+    widths = sorted({*np.linspace(1.0, 12.0, 45), *range(1, 13)})
+    cases = [(g, MollifierConfig(w * g.spec.h, kernel)) for g in edge_densities() for w in widths]
+    got = [mollify_outcome(g, cfg) for g, cfg in cases]
+    monkeypatch.setattr(measures, "_kernel_reach", lambda cfg, h: (-1, 0.0))
+    assert got == [mollify_outcome(g, cfg) for g, cfg in cases]
+    assert "mollified support hits the boundary ring" in got
+    assert any(isinstance(out, bytes) for out in got)
+
+
+@pytest.mark.parametrize(
+    "kernel, width, early",
+    [
+        # the box is 5 cells from the boundary ring; half = ceil(4 width / h)
+        ("gaussian", 1.25, True),
+        ("gaussian", 1.0, False),
+        # half = ceil(width / h), and a whole-cell width ends in a 0 entry
+        ("triangular", 6.0, True),
+        ("triangular", 5.0, False),
+    ],
+)
+def test_mollify_rejects_a_reaching_kernel_before_building_it(kernel, width, early, monkeypatch):
+    box = edge_densities()[0]
+    built = count_kernels(monkeypatch)
+    cfg = MollifierConfig(width * box.spec.h, kernel)
+    if early:
+        with pytest.raises(InputError, match="mollified support hits the boundary ring"):
+            mollify(box, cfg)
+        assert built == []
+    else:
+        assert mollify(box, cfg).mass == pytest.approx(1.0, abs=1e-12)
+        assert built == [cfg]
+
+
+def test_mollify_wider_than_the_grid_builds_no_kernel(monkeypatch):
+    spec = square_grid(64, 3.2)
+    g = make_ramp_ball(spec, (0.0, 0.0), 0.8, 0.2)
+    built = count_kernels(monkeypatch)
+    for kernel in ("gaussian", "triangular"):
+        with pytest.raises(InputError, match="mollified support hits the boundary ring"):
+            mollify(g, MollifierConfig(2000 * spec.h, kernel))
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -333,3 +333,23 @@ def test_radial_sweeps_reuse_exact_component_scores(monkeypatch, phi):
 def test_grid_family_rejects_malformed_fields(fields):
     with pytest.raises(InputError):
         GridSearchFamily(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"rings": 0}, "rings must be in 1..8"), ({"rings": 9}, "rings must be in 1..8"),
+     ({"levels": 0}, "levels must be >= 1"), ({"levels": -1}, "levels must be >= 1"),
+     ({"max_sweeps": -1}, "max_sweeps must be >= 0")],
+    ids=["no_rings", "nine_rings", "no_levels", "negative_levels", "negative_sweeps"],
+)
+def test_radial_family_rejects_malformed_fields(fields, message):
+    ball, _ = ball_setup()
+    with pytest.raises(InputError, match=message):
+        RadialFamily.from_anchor(ball, [(0.0, 0.0)], [1.3], **fields)
+
+
+def test_radial_family_at_the_least_levels_and_sweeps_runs():
+    ball, _ = ball_setup()
+    fam = RadialFamily.from_anchor(ball, [(0.0, 0.0)], [1.3], rings=1, levels=1, max_sweeps=0)
+    _, val, _ = resolvent(ResolventProblem("isop", 0.1, ball, fam))
+    assert val <= isop(ball).value

@@ -12,7 +12,10 @@ field component and, at the midpoint step, both fields.
 
 The reconstruction solves for the momentum m = v * f on staggered faces
 (avoiding division by small densities); velocities are reported only where
-f >= 1e-9.  The minimal sup-norm solve minimizes the face norm
+f >= 1e-9.  The l2 solve is the discrete Benamou-Brenier field, the momentum
+of least kinetic energy sum_e m_e^2 / f_e: one direct weighted-Laplacian
+solve per interval, with nothing to iterate or tune (`_kinetic_momentum`).
+The minimal sup-norm solve minimizes the face norm
 max_e |m_e| / f_e over the staggered edge graph exactly, as two linear
 programs whose only inequalities are box bounds on the columns.  Phase 1 is
 the homogenized form: m = t f u with -1 <= u <= 1 and r = -1/t <= 0, so
@@ -56,21 +59,17 @@ LP_OPTIONS = {"presolve": True}
 
 
 def __getattr__(name):
-    # `linprog` is never called here.  It is bound on first look-up only
-    # because perfbench/tracer.py patches it; ROADMAP item 6 deletes it.
+    # `linprog` and `lsqr` are never called here.  They are bound on first
+    # look-up only because perfbench/tracer.py patches them; ROADMAP item 6
+    # deletes them.
     if name == "linprog":
-        from scipy.optimize import linprog
-
-        globals()[name] = linprog
-        return linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def lsqr(A, b, **options):
-    """`scipy.sparse.linalg.lsqr`, imported on the first call."""
-    from scipy.sparse import linalg
-
-    return linalg.lsqr(A, b, **options)
+        from scipy.optimize import linprog as fn
+    elif name == "lsqr":
+        from scipy.sparse.linalg import lsqr as fn
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = fn
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +173,20 @@ def _residual_bound(rhs: np.ndarray) -> float:
     return 1e-7 * max(1.0, float(np.abs(rhs).max()))
 
 
-def _unroutable_mass(Da, rhs: np.ndarray, mass_unit: float) -> float:
-    """Mass that no flow along the active faces can move: half the summed
-    net imbalance of rhs over the connected components of the face graph."""
+def _face_components(Da) -> np.ndarray:
+    """Label of every cell's connected component in the graph of the active
+    faces; a cell on no active face is a component of its own."""
     from scipy.sparse.csgraph import connected_components
 
     inc = abs(Da)
-    _, labels = connected_components(inc @ inc.T, directed=False)
-    net = np.bincount(labels, weights=rhs) * mass_unit
-    return 0.5 * float(np.abs(net).sum())
+    return connected_components(inc @ inc.T, directed=False)[1]
+
+
+def _unroutable(Da, rhs: np.ndarray, mass_unit: float) -> str:
+    """The mass that no flow along the active faces can move, stated: half
+    the summed net imbalance of rhs over the connected components."""
+    net = np.bincount(_face_components(Da), weights=rhs) * mass_unit
+    return f"mass {0.5 * float(np.abs(net).sum()):.3g} cannot move along faces of positive density"
 
 
 def _solve(cost, col_lower, col_upper, A, b) -> _highs.Solution:
@@ -228,10 +232,9 @@ def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
     resid = float(np.linalg.norm(Da @ m1 - rhs))
     if r >= 0.0 or resid > _residual_bound(rhs):
         # r = 0, or an r that balances rhs only within the solver tolerance
-        lost = _unroutable_mass(Da, rhs, mass_unit)
         raise InfeasibleError(
-            f"sup-norm reconstruction infeasible: mass {lost:.3g} cannot move "
-            f"along faces of positive density (phase-1 residual {resid:.3g})"
+            f"sup-norm reconstruction infeasible: {_unroutable(Da, rhs, mass_unit)} "
+            f"(phase-1 residual {resid:.3g})"
         )
     # phase 2: the sup-norm optimum is degenerate; among momenta at the
     # optimal bound, m = p - q with 0 <= p, q <= cap, take the one of least
@@ -250,10 +253,32 @@ def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
     return m1, face_norm
 
 
+def _kinetic_momentum(Da, fa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Momentum of least kinetic energy sum_e m_e^2 / f_e with Da m = rhs.
+
+    It is m = fa Da^T p, where p solves the weighted graph Laplacian
+    (Da diag(fa) Da^T) p = rhs, factorized directly.  In each connected
+    component of the active faces p is pinned to 0 at one cell, so that
+    cell's row is dropped: a component whose rhs does not sum to 0 leaves
+    its net imbalance there, as the residual.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    free = np.ones(len(rhs), bool)
+    free[np.unique(_face_components(Da), return_index=True)[1]] = False
+    Df = Da[free]
+    p = np.zeros(len(rhs))
+    p[free] = spsolve(Df @ sparse.diags(fa) @ Df.T, rhs[free])
+    return fa * (Da.T @ p)
+
+
 def _solve_interval(spec, f0, f1, dt, norm):
     """Minimal-norm momentum on faces with div m = (f0 - f1)/dt.
 
-    With norm='linf' the face bound of phase 1 is an LP optimum value and
+    With norm='l2' it is the momentum of `_kinetic_momentum`, and its face
+    norm is max |m_e| / f_e over faces with f_e >= DENSITY_FLOOR.  With
+    norm='linf' the face bound of phase 1 is an LP optimum value and
     does not depend on the solver.  Phase 2 minimizes the total face speed
     sum |m_e| / f_e under that bound.  On the 96^2 ramp ball translated at
     speed 0.25 of `test_reconstruct_translation_sup_norm_and_direction`,
@@ -273,11 +298,13 @@ def _solve_interval(spec, f0, f1, dt, norm):
     Da = D[:, active]
     fa = fface[active]
     if norm == "l2":
-        sol = lsqr(Da, rhs, atol=1e-14, btol=1e-14, iter_lim=20_000)
-        ma = sol[0]
+        ma = _kinetic_momentum(Da, fa, rhs)
         resid = float(np.linalg.norm(Da @ ma - rhs))
         if resid > _residual_bound(rhs):
-            raise InfeasibleError(f"continuity constraint unsatisfiable, residual {resid}")
+            raise InfeasibleError(
+                f"kinetic-energy reconstruction infeasible: "
+                f"{_unroutable(Da, rhs, spec.cell_volume * dt)} (residual {resid:.3g})"
+            )
         solid = fa >= DENSITY_FLOOR
         face_norm = float(np.abs(ma[solid] / fa[solid]).max()) if solid.any() else 0.0
     elif norm == "linf":
@@ -297,9 +324,12 @@ def reconstruct_velocity(traj: Trajectory, norm: str = "linf") -> ReconstructedF
     """Per-interval minimal-norm velocity solving the discrete continuity
     constraint between consecutive densities.
 
-    norm='l2' gives the least-squares momentum (via LSQR normal equations);
-    norm='linf' gives the minimal sup-norm momentum.  The returned field is
-    indexed by interval, with times at the interval left endpoints.
+    norm='l2' gives the momentum of least kinetic energy sum m^2 / f (one
+    direct weighted-Laplacian solve per interval); norm='linf' gives the
+    minimal sup-norm momentum.  Either raises InfeasibleError, naming the
+    mass that cannot move, when no flow along faces of positive density
+    carries the change.  The returned field is indexed by interval, with
+    times at the interval left endpoints.
     """
     if len(traj) < 2:
         raise InputError("need at least 2 time samples")

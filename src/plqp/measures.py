@@ -53,6 +53,9 @@ class GridSpec:
             raise InputError("need at least 2 cells per axis")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise InputError("spacing h must be positive and finite")
+        # cell_volume is h**dim, which raises OverflowError past the float range
+        if math.isinf(math.prod([float(self.h)] * self.dim)):
+            raise InputError(f"spacing h = {self.h:g} overflows the cell volume h^{self.dim}")
 
     @property
     def cell_volume(self) -> float:
@@ -512,7 +515,10 @@ def dilate_curve(
 def _kernel_half(cfg: MollifierConfig, h: float) -> int:
     """Half-length in cells of the kernel: 4 widths for the gaussian, one
     for the triangle."""
-    return max(1, math.ceil((4 if cfg.kernel == "gaussian" else 1) * cfg.width / h))
+    cells = (4 if cfg.kernel == "gaussian" else 1) * cfg.width / h
+    if math.isinf(cells):
+        raise InputError(f"mollifier width {cfg.width:g} overflows in cells of h = {h:g}")
+    return max(1, math.ceil(cells))
 
 
 def _kernel_1d(cfg: MollifierConfig, h: float) -> np.ndarray:

@@ -151,3 +151,16 @@ def test_lp_commands_load_no_ndimage(files):
     assert "scipy.optimize" in runs[0]
     assert "scipy.sparse.linalg" in runs[2]
     assert not any("scipy.ndimage" in mods for mods in runs)
+    # alone, the l2 field is one sparse factorization: no LP solver loads
+    _, _, l2 = loaded_after(
+        ["curve", "--kind", "translate", "--grid", str(files / "a.csv"), "--param", "0.1875,0",
+         "--times", "0,0.5,1", "--out", str(files / "traj_l2")],
+        ["reconstruct", "--manifest", str(files / "traj_l2" / "curve_manifest.json"), "--norm", "l2"],
+    )
+    assert {"scipy.sparse.linalg", "scipy.sparse.csgraph"} <= l2
+    assert "scipy.optimize" not in l2
+
+
+def test_l2_reconstruction_has_no_iteration_settings():
+    # the l2 field is a direct solve: no iteration cap or stopping tolerance
+    assert modules_naming("iter_lim") == modules_naming("btol") == []

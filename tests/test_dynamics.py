@@ -215,6 +215,78 @@ def test_reconstruct_l2_direction_on_bulk():
     assert max(rec.residuals) <= 1e-7
 
 
+def kkt_momentum(Da, fa, rhs):
+    """Oracle: min sum m^2 / f subject to Da m = rhs, from the dense KKT
+    system [[diag(1/f), Da^T], [Da, 0]] [m, lam] = [0, rhs].  The
+    multipliers are fixed only up to a constant per component, so the
+    system is solved in least squares; m is unique."""
+    A = Da.toarray()
+    nc, nf = A.shape
+    kkt = np.block([[np.diag(1.0 / fa), A.T], [A, np.zeros((nc, nc))]])
+    sol = np.linalg.lstsq(kkt, np.concatenate([np.zeros(nf), rhs]), rcond=None)[0]
+    return sol[:nf]
+
+
+def random_face_problem(rng, spec, blobs):
+    """Da, fa and a balanced rhs on the faces of `blobs` random boxes of
+    positive cell density; each box is a component of its own."""
+    from scipy.sparse.csgraph import connected_components
+
+    fbar = np.zeros(spec.shape)
+    for box in blobs:
+        fbar[box] = rng.uniform(0.1, 2.0, fbar[box].shape)
+    fface = np.concatenate([dynamics._face_density(fbar, ax).ravel() for ax in range(spec.dim)])
+    active = fface > 0
+    Da, fa = dynamics._divergence_matrix(spec)[:, active], fface[active]
+    inc = abs(Da)
+    ncomp, labels = connected_components(inc @ inc.T, directed=False)
+    on_faces = np.asarray(inc.sum(axis=1)).ravel() > 0
+    rhs = np.where(on_faces, rng.normal(size=len(labels)), 0.0)
+    rhs -= (np.bincount(labels, weights=rhs) / np.bincount(labels))[labels]
+    return Da, fa, rhs, ncomp - int((~on_faces).sum())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kinetic_momentum_matches_the_dense_kkt_solve(seed):
+    rng = np.random.default_rng(seed)
+    line, square = square_grid(14, 1.0, dim=1), square_grid(12, 1.5)
+    cases = [
+        (line, [np.s_[2:11]]),
+        (line, [np.s_[1:5], np.s_[8:13]]),
+        (square, [np.s_[2:9, 3:10]]),
+        (square, [np.s_[1:5, 1:6], np.s_[7:11, 5:11]]),
+    ]
+    for spec, blobs in cases:
+        Da, fa, rhs, supports = random_face_problem(rng, spec, blobs)
+        assert supports == len(blobs)
+        m = dynamics._kinetic_momentum(Da, fa, rhs)
+        want = kkt_momentum(Da, fa, rhs)
+        assert np.abs(m - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.linalg.norm(Da @ m - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_reconstruct_l2_is_the_least_kinetic_energy_field():
+    # a ramp ball moved one cell at speed V: W_2 / dt = W_inf / dt = V
+    V, gaps = 0.25, []
+    for n in (32, 48, 64):
+        spec = square_grid(n, 2.0)
+        h, dt = spec.h, spec.h / V
+        g = make_ramp_ball(spec, (0.0, 0.0), 0.45, 0.2, guard=0.05)
+        traj = translate_curve(g, (V, 0.0), [0.0, dt])
+        l2, linf = reconstruct_velocity(traj, "l2"), reconstruct_velocity(traj, "linf")
+        # the sup-norm solve minimizes the face norm the l2 field also meets
+        assert l2.face_norms[0] >= linf.face_norms[0] * (1 - 1e-9)
+        assert abs(l2.face_norms[0] - V) <= h
+        assert l2.residuals[0] <= 1e-10
+        Da, fa, rhs = face_lp(*traj.densities, dt)
+        m = dynamics._kinetic_momentum(Da, fa, rhs)
+        kinetic = float(np.sqrt((m**2 / fa).sum() * spec.cell_volume))
+        gaps.append(abs(kinetic - V))
+        # measured: 0.31-0.32 h^2 at 32^2, 48^2 and 64^2
+        assert gaps[-1] <= 0.5 * h**2
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
 def test_reconstruct_lower_bound_against_bottleneck():
     # one-step lower bound of the dynamic formulation on random pairs
     rng = np.random.default_rng(2024)
@@ -349,10 +421,11 @@ def test_sup_norm_phases_match_linprog(monkeypatch):
             assert sol.simplex_iterations == res.nit
 
 
+@pytest.mark.parametrize("norm", ["l2", "linf"])
 @pytest.mark.parametrize("swap", [0.1, 1e-6])
-def test_reconstruct_unroutable_swap_is_infeasible(swap):
+def test_reconstruct_unroutable_swap_is_infeasible(swap, norm):
     with pytest.raises(InfeasibleError) as err:
-        reconstruct_velocity(two_ball_swap(swap), "linf")
+        reconstruct_velocity(two_ball_swap(swap), norm)
     message = str(err.value)
     assert f"mass {swap:.3g} cannot move" in message
     assert "terminated successfully" not in message

@@ -592,6 +592,53 @@ def test_cli_malformed_grid_files(fuzz_dir, part, junk):
     assert_clean_exit(*run_main("isop", str(bad)), out)
 
 
+# a spacing whose cell volume h^2 overflows: each reading command exited 1
+# with OverflowError from GridSpec.cell_volume
+
+
+@pytest.fixture(scope="module")
+def huge_h(fuzz_dir):
+    path = fuzz_dir / "huge_h.csv"
+    path.write_text(mangle((fuzz_dir / "a.csv").read_text(), "h", "1e300"))
+    return str(path)
+
+
+def assert_spacing_overflow_exits_2(argv, out):
+    rc, err = run_main(*argv)
+    assert rc == 2 and err.startswith("error: spacing h = 1e+300 overflows the cell volume"), err
+    assert_clean_exit(rc, err, out)
+
+
+def test_cli_isop_spacing_overflow_exits_2(huge_h, fuzz_dir):
+    assert_spacing_overflow_exits_2(["isop", huge_h], fuzz_dir / "out")
+
+
+@pytest.mark.parametrize("q", ["2", "inf"])
+def test_cli_dist_spacing_overflow_exits_2(huge_h, fuzz_dir, q):
+    assert_spacing_overflow_exits_2(["dist", "--q", q, str(fuzz_dir / "a.csv"), huge_h], fuzz_dir / "out")
+
+
+def test_cli_bb_spacing_overflow_exits_2(huge_h, fuzz_dir):
+    out = fuzz_dir / "out"
+    assert_spacing_overflow_exits_2(["bb", huge_h, huge_h, "--out", str(out)], out)
+
+
+def test_cli_curve_spacing_overflow_exits_2(huge_h, fuzz_dir):
+    out = fuzz_dir / "out"
+    argv = ["curve", "--kind", "translate", "--grid", huge_h, "--param=0.1875,0", "--times=0,1", "--out", str(out)]
+    assert_spacing_overflow_exits_2(argv, out)
+
+
+def test_cli_mms_anchor_extent_overflow_exits_2(fuzz_dir):
+    cfg = json.loads(json.dumps(GRID_CONFIG))
+    cfg["anchor"]["grid"]["extent"] = 1e300
+    cfg_path, out = fuzz_dir / "huge_extent.json", fuzz_dir / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
+    assert rc == 2 and err.startswith("error: spacing h = 6.25e+298 overflows the cell volume"), err
+    assert_clean_exit(rc, err, out)
+
+
 @pytest.fixture(scope="module")
 def fuzz_trajectory(fuzz_dir):
     out = fuzz_dir / "traj"
@@ -692,9 +739,10 @@ def test_cli_malformed_manifests(fuzz_trajectory, where, value):
     assert_clean_exit(rc, err, fuzz_trajectory.parent / "out")
 
 
-def test_cli_reconstruct_unroutable_swap_exits_3(tmp_path):
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_cli_reconstruct_unroutable_swap_exits_3(tmp_path, norm):
     manifest = gridio.save_trajectory(two_ball_swap(0.1), tmp_path / "swap")
-    rc, err = run_main("reconstruct", "--manifest", str(manifest), "--norm", "linf")
+    rc, err = run_main("reconstruct", "--manifest", str(manifest), "--norm", norm)
     assert rc == 3
     assert "mass 0.1 cannot move" in err
     assert "Traceback" not in err

@@ -11,6 +11,7 @@ from plqp.errors import InputError
 from plqp.measures import (
     DiscreteMeasure,
     GridDensity,
+    GridSpec,
     MollifierConfig,
     Trajectory,
     coarse_measure,
@@ -56,6 +57,18 @@ def test_grid_density_rejects_boundary_support():
     vals[0] = 1.0 / spec.h
     with pytest.raises(InputError):
         GridDensity(spec, vals)
+
+
+@pytest.mark.parametrize("h", [1e300, pytest.param(np.float64(1e300), id="numpy-1e300"), 1e155])
+def test_grid_spec_rejects_a_spacing_whose_cell_volume_overflows(h):
+    # h**2 raised OverflowError from cell_volume before
+    with pytest.raises(InputError, match="overflows the cell volume"):
+        GridSpec(2, (16, 16), h, (0.0, 0.0))
+
+
+def test_grid_spec_keeps_a_spacing_whose_cell_volume_is_finite():
+    assert GridSpec(1, (16,), 1e300, (0.0,)).cell_volume == 1e300
+    assert math.isfinite(GridSpec(2, (16, 16), 1e154, (0.0, 0.0)).cell_volume)
 
 
 def test_grid_density_values_immutable():
@@ -528,6 +541,15 @@ def test_mollify_wider_than_the_grid_builds_no_kernel(monkeypatch):
         with pytest.raises(InputError, match="mollified support hits the boundary ring"):
             mollify(g, MollifierConfig(2000 * spec.h, kernel))
     assert built == []
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "triangular"])
+def test_mollify_width_that_overflows_in_cells_is_input_error(kernel):
+    # 4 width / h is inf: math.ceil raised OverflowError before
+    spec = line_grid(32, 32e-10)
+    g = indicator_interval(spec, 10e-10, 20e-10)
+    with pytest.raises(InputError, match="overflows in cells"):
+        mollify(g, MollifierConfig(1e300, kernel))
 
 
 # ---------------------------------------------------------------------------

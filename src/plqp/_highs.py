@@ -10,8 +10,10 @@ with A given column-wise.  It sets the options `scipy.optimize.linprog`
 sets for method="highs" (no output, the dual simplex, and the caller's
 presolve and tolerances), so on the same LP it returns the same primal
 values and row duals as `linprog`, without its input checks and sparse
-conversions.  A solved model can grow by columns (`add_cols`) and run
-again: HiGHS then starts from the last optimal basis.
+conversions.  A solved model can grow by columns (`add_cols`), or change
+its column bounds and costs (`change_cols`), its row bounds (`change_rows`)
+or one column's entries (`replace_col`), and run again: HiGHS then starts
+from the last basis.
 
 `scipy.optimize._highspy` is private to scipy; pyproject.toml pins the
 scipy range tested with it, and a test checks that every name used here
@@ -21,6 +23,7 @@ first `Model`, so a process that solves no LP never imports it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +46,8 @@ class Solution:
 
 
 class Model:
-    """A column-wise LP on one HiGHS object: `run` solves it, `add_cols`
-    appends columns to it.
+    """A column-wise LP on one HiGHS object: `run` solves it, and the other
+    methods change it in place for the next `run`.
 
     start, index, value: the constraint matrix in compressed-column form,
     column j holding value[start[j]:start[j+1]] in rows
@@ -84,6 +87,42 @@ class Model:
         )
         if status == _core.HighsStatus.kError:
             raise ValueError("HiGHS rejected the added columns")
+
+    def change_cols(self, index, col_lower, col_upper, cost=None) -> None:
+        """Set the bounds, and the costs if given, of the columns `index`."""
+        from scipy.optimize._highspy._core import HighsStatus
+
+        h = self._highs
+        index = np.asarray(index, dtype=np.int32)
+        status = [h.changeColsBounds(len(index), index, col_lower, col_upper)]
+        if cost is not None:
+            status.append(h.changeColsCost(len(index), index, cost))
+        if HighsStatus.kError in status:
+            raise ValueError("HiGHS rejected the column change")
+
+    def change_rows(self, row_lower, row_upper) -> None:
+        """Set the bounds of every row, one changeRowBounds call per row:
+        the binding has no array form of changeRowsBounds."""
+        from scipy.optimize._highspy._core import HighsStatus
+
+        rows = range(len(row_lower))
+        status = set(map(self._highs.changeRowBounds, rows, row_lower.tolist(), row_upper.tolist()))
+        if HighsStatus.kError in status:
+            raise ValueError("HiGHS rejected the row bounds")
+
+    def replace_col(self, col: int, index, value) -> None:
+        """Make column `col` hold `value` in the rows `index` and 0 in every
+        other row: one changeCoeff call per entry set or cleared."""
+        from scipy.optimize._highspy._core import HighsStatus
+
+        h = self._highs
+        index = np.asarray(index, dtype=np.int32)
+        cleared = np.setdiff1d(h.getColEntries(col)[1], index)
+        cols = itertools.repeat(col)
+        status = set(map(h.changeCoeff, cleared.tolist(), cols, itertools.repeat(0.0)))
+        status.update(map(h.changeCoeff, index.tolist(), cols, np.asarray(value).tolist()))
+        if HighsStatus.kError in status:
+            raise ValueError("HiGHS rejected the column entries")
 
     def run(self) -> Solution:
         from scipy.optimize._highspy._core import HighsModelStatus

@@ -150,6 +150,13 @@ def cmd_isop(args) -> dict:
     }
 
 
+# Largest anchor grid side n of an `mms` config (n^2 cells), set from a
+# budget of about 5 s and 300 MB as `bottleneck.MAX_ATOMS` is: a one-ball
+# radial scheme step (one core of a 2-vCPU x86_64 VM) took 0.85 s at 134 MB
+# peak RSS on 1024^2 cells and 3.6 s at 351 MB on 2048^2.
+MAX_ANCHOR_N = 1_024
+
+
 def _anchor_from_config(cfg: dict):
     if "grid_file" in cfg:
         if not isinstance(cfg["grid_file"], str):
@@ -157,6 +164,8 @@ def _anchor_from_config(cfg: dict):
         return gridio.read_grid(cfg["grid_file"])
     grid = _section(cfg, "grid")
     n = _integer(grid["n"], "grid n", least=2)
+    if n > MAX_ANCHOR_N:
+        raise InputError(f"grid n must be at most {MAX_ANCHOR_N}, got {n}")
     extent = _real(grid["extent"], "grid extent")
     h = extent / n
     spec = GridSpec(2, (n, n), h, (-extent / 2 + h / 2, -extent / 2 + h / 2))

@@ -17,15 +17,18 @@ of least kinetic energy sum_e m_e^2 / f_e: one direct weighted-Laplacian
 solve per interval, with nothing to iterate or tune (`_kinetic_momentum`).
 The minimal sup-norm solve minimizes the face norm
 max_e |m_e| / f_e over the staggered edge graph exactly, as two linear
-programs whose only inequalities are box bounds on the columns.  Phase 1 is
-the homogenized form: m = t f u with -1 <= u <= 1 and r = -1/t <= 0, so
-minimizing t is minimizing r subject to div(f u) + r rhs = 0, and the face
-norm is -1/r.  Phase 2 writes m = p - q with 0 <= p, q <= t f and picks,
-among momenta at that bound, the one of least total face speed
-sum (p_e + q_e) / f_e.  Each phase is one cold solve through the HiGHS
-adapter `_highs.Model`, with HiGHS presolve on and its default tolerances
-(LP_OPTIONS); a phase 1 that HiGHS proves unbounded is no motion.  The
-per-cell Euclidean speed is assembled from face values afterwards.
+programs whose only inequalities are box bounds on the columns, on the
+divergence D of the faces a trajectory uses and the cells they touch
+(`_FaceSystem`).  Phase 1 is the homogenized form: max s subject to
+D m' = s rhs and |m'_e| <= f_e, so the face norm is t = 1/s and the momentum
+m' / s.  Phase 2 writes m = p - q with 0 <= p, q <= t f and picks, among
+momenta at that bound, the one of least total face speed
+sum (p_e + q_e) / f_e.  D is built once per trajectory, and each phase is
+one model of the HiGHS adapter `_highs.Model`: the first interval solves it
+cold, and every later one changes only its bounds, costs and right-hand side
+and re-solves from the last basis, with HiGHS presolve off and its default
+tolerances (LP_OPTIONS); a phase 1 that HiGHS proves unbounded is no motion.
+The per-cell Euclidean speed is assembled from face values afterwards.
 """
 
 from __future__ import annotations
@@ -54,8 +57,14 @@ from .transport import wq
 
 SUPPORT_EPS = 1e-12  # relative threshold separating support from splat dust
 DENSITY_FLOOR = 1e-9  # report v = m/f only where f >= this floor
-# HiGHS options of both sup-norm LPs: presolve on, default tolerances
-LP_OPTIONS = {"presolve": True}
+# Largest step count `bb_verify` accepts.  Each step is one reconstructed
+# interval; on the 32^2 knight-move ramp-ball pair of the `continuity`
+# benchmark (one core of a 2-vCPU x86_64 VM) 256 steps took 1.5 s at 97 MB
+# peak RSS and 1,024 steps 5.3 s at 138 MB; at 64^2, 256 steps took 6.1 s.
+MAX_BB_STEPS = 1_024
+# HiGHS options of both sup-norm LPs: presolve off, so that every interval
+# after the first re-solves from the last basis; default tolerances
+LP_OPTIONS = {"presolve": False}
 
 
 def __getattr__(name):
@@ -189,68 +198,109 @@ def _unroutable(Da, rhs: np.ndarray, mass_unit: float) -> str:
     return f"mass {0.5 * float(np.abs(net).sum()):.3g} cannot move along faces of positive density"
 
 
-def _solve(cost, col_lower, col_upper, A, b) -> _highs.Solution:
-    """min cost . x subject to A x = b and the column bounds, with
-    LP_OPTIONS."""
-    from scipy import sparse
+class _FaceSystem:
+    """The divergence on the faces one trajectory uses, and its two sup-norm
+    LPs, for one `reconstruct_velocity` call.
 
-    A = sparse.csc_array(A)
-    return _highs.Model(cost, col_lower, col_upper, A.indptr, A.indices, A.data, b, b, LP_OPTIONS).run()
-
-
-def _sup_norm_momentum(Da, fa: np.ndarray, rhs: np.ndarray, mass_unit: float):
-    """Momentum of least face norm max_e |m_e| / f_e with Da m = rhs, and
-    that norm.  Both LPs use box bounds only, no inequality rows.
-
-    An unbounded phase 1 (rhs below the solver tolerance, or exactly 0) is
-    no motion: face norm 0.  An optimum r = 0, or a phase-1 momentum that
-    misses rhs, is infeasible; the error names the mass (`mass_unit` per
-    unit of rhs in a cell) that no flow along the active faces can move.
+    The columns of `D` are the faces of positive density on some interval,
+    its rows the cells those faces touch.  A cell whose density changes has
+    positive density, so it is a row.  D is built once.  Each sup-norm phase
+    is one HiGHS model, built on the first interval that needs it; a later
+    interval changes only its bounds, costs and right-hand side, and HiGHS
+    re-solves from the last basis.
     """
-    from scipy import sparse
 
-    nfa = len(fa)
-    # phase 1, homogenized: m = t fa u with |u| <= 1 and r = -1/t <= 0, so
-    # minimizing t is minimizing r subject to Da diag(fa) u + r rhs = 0.
-    cost = np.zeros(nfa + 1)
-    cost[-1] = 1.0
-    sol = _solve(
-        cost,
-        np.concatenate([np.full(nfa, -1.0), [-_highs.INF]]),
-        np.concatenate([np.ones(nfa), [0.0]]),
-        sparse.hstack([Da @ sparse.diags(fa), sparse.csr_matrix(rhs[:, None])], format="csr"),
-        np.zeros(len(rhs)),
-    )
-    if sol.unbounded:
-        # r unbounded below: t = 0 moves rhs within the solver tolerance
-        return np.zeros(nfa), 0.0
-    if not sol.optimal:
-        raise InfeasibleError(f"sup-norm reconstruction failed: {sol.message}")
-    r = float(sol.x[-1])
-    face_norm = -1.0 / r if r < 0.0 else 0.0
-    m1 = face_norm * fa * sol.x[:-1]
-    resid = float(np.linalg.norm(Da @ m1 - rhs))
-    if r >= 0.0 or resid > _residual_bound(rhs):
-        # r = 0, or an r that balances rhs only within the solver tolerance
-        raise InfeasibleError(
-            f"sup-norm reconstruction infeasible: {_unroutable(Da, rhs, mass_unit)} "
-            f"(phase-1 residual {resid:.3g})"
-        )
-    # phase 2: the sup-norm optimum is degenerate; among momenta at the
-    # optimal bound, m = p - q with 0 <= p, q <= cap, take the one of least
-    # total face speed sum (p_e + q_e) / f_e to kill transverse wiggle
-    cap = face_norm * (1.0 + 1e-9) * fa + 1e-15
-    speed = 1.0 / fa
-    sol2 = _solve(
-        np.concatenate([speed, speed]),
-        np.zeros(2 * nfa),
-        np.concatenate([cap, cap]),
-        sparse.hstack([Da, -Da], format="csr"),
-        rhs,
-    )
-    if sol2.optimal:
-        return sol2.x[:nfa] - sol2.x[nfa:], face_norm
-    return m1, face_norm
+    def __init__(self, spec: GridSpec, densities: list[np.ndarray]):
+        self.spec = spec
+        self.fbars = [0.5 * (f0 + f1) for f0, f1 in zip(densities, densities[1:])]
+        # face densities per interval, axis by axis, as `_cell_vectors` reads them
+        self.faces = [[_face_density(fbar, ax) for ax in range(spec.dim)] for fbar in self.fbars]
+        fface = [np.concatenate([f.ravel() for f in faces]) for faces in self.faces]
+        self.columns = np.logical_or.reduce([f > 0 for f in fface])
+        D = _divergence_matrix(spec)[:, self.columns]
+        self.rows = np.flatnonzero(D.getnnz(axis=1))
+        self.D = D[self.rows]
+        # each interval's density on the used faces; 0 where it has none
+        self.fface = [f[self.columns] for f in fface]
+        self.phase1 = self.phase2 = None
+
+    def sup_norm_momentum(self, k: int, rhs: np.ndarray, mass_unit: float):
+        """Momentum of least face norm max_e |m_e| / f_e with D m = rhs on
+        interval k, and that norm.  Both LPs use box bounds only, no
+        inequality rows; a face of zero density on interval k is fixed at 0.
+
+        An unbounded phase 1 (rhs below the solver tolerance, or exactly 0) is
+        no motion: face norm 0.  An optimum s = 0, or a phase-1 momentum that
+        misses rhs, is infeasible; the error names the mass (`mass_unit` per
+        unit of rhs in a cell) that no flow along interval k's faces can move.
+        """
+        D, f = self.D, self.fface[k]
+        n = len(f)
+        nz = np.flatnonzero(rhs)
+        # phase 1, homogenized: max s subject to D m' = s rhs and |m'_e| <= f_e,
+        # so the face norm is t = 1/s and the momentum m' / s.  D stays; the
+        # bounds and the s column change.
+        if self.phase1 is None:
+            C = D.tocsc()
+            self.phase1 = _highs.Model(
+                np.concatenate([np.zeros(n), [-1.0]]),
+                np.concatenate([-f, [0.0]]),
+                np.concatenate([f, [_highs.INF]]),
+                np.concatenate([C.indptr, [C.indptr[-1] + len(nz)]]),
+                np.concatenate([C.indices, nz]),
+                np.concatenate([C.data, -rhs[nz]]),
+                np.zeros(len(rhs)),
+                np.zeros(len(rhs)),
+                LP_OPTIONS,
+            )
+        else:
+            self.phase1.change_cols(np.arange(n), -f, f)
+            self.phase1.replace_col(n, nz, -rhs[nz])
+        sol = self.phase1.run()
+        if sol.unbounded:
+            # s unbounded above: t = 0 moves rhs within the solver tolerance
+            return np.zeros(n), 0.0
+        if not sol.optimal:
+            raise InfeasibleError(f"sup-norm reconstruction failed: {sol.message}")
+        s = float(sol.x[-1])
+        face_norm = 1.0 / s if s > 0.0 else 0.0
+        m1 = face_norm * sol.x[:-1]
+        resid = float(np.linalg.norm(D @ m1 - rhs))
+        if s <= 0.0 or resid > _residual_bound(rhs):
+            # s = 0, or an s that balances rhs only within the solver tolerance
+            raise InfeasibleError(
+                f"sup-norm reconstruction infeasible: {_unroutable(D[:, f > 0], rhs, mass_unit)} "
+                f"(phase-1 residual {resid:.3g})"
+            )
+        # phase 2: the sup-norm optimum is degenerate; among momenta at the
+        # optimal bound, m = p - q with 0 <= p, q <= cap, take the one of least
+        # total face speed sum (p_e + q_e) / f_e to kill transverse wiggle.
+        # [D, -D] stays; the costs, the bounds and the row bounds change.
+        active = f > 0
+        cap = np.where(active, face_norm * (1.0 + 1e-9) * f + 1e-15, 0.0)
+        speed = np.divide(1.0, f, out=np.zeros(n), where=active)
+        cost, upper = np.concatenate([speed, speed]), np.concatenate([cap, cap])
+        if self.phase2 is None:
+            C = D.tocsc()
+            self.phase2 = _highs.Model(
+                cost,
+                np.zeros(2 * n),
+                upper,
+                np.concatenate([C.indptr, C.indptr[1:] + C.indptr[-1]]),
+                np.concatenate([C.indices, C.indices]),
+                np.concatenate([C.data, -C.data]),
+                rhs,
+                rhs,
+                LP_OPTIONS,
+            )
+        else:
+            self.phase2.change_cols(np.arange(2 * n), np.zeros(2 * n), upper, cost)
+            self.phase2.change_rows(rhs, rhs)
+        sol2 = self.phase2.run()
+        if sol2.optimal:
+            # p - q can pass cap by a few ulps; the bound is stated exactly
+            return np.clip(sol2.x[:n] - sol2.x[n:], -cap, cap), face_norm
+        return m1, face_norm
 
 
 def _kinetic_momentum(Da, fa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -273,31 +323,31 @@ def _kinetic_momentum(Da, fa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return fa * (Da.T @ p)
 
 
-def _solve_interval(spec, f0, f1, dt, norm):
-    """Minimal-norm momentum on faces with div m = (f0 - f1)/dt.
+def _solve_interval(system: _FaceSystem, k: int, f0, f1, dt, norm):
+    """Minimal-norm momentum on faces with div m = (f0 - f1)/dt, the
+    densities of interval k of `system`'s trajectory.
 
     With norm='l2' it is the momentum of `_kinetic_momentum`, and its face
     norm is max |m_e| / f_e over faces with f_e >= DENSITY_FLOOR.  With
     norm='linf' the face bound of phase 1 is an LP optimum value and
-    does not depend on the solver.  Phase 2 minimizes the total face speed
-    sum |m_e| / f_e under that bound.  On the 96^2 ramp ball translated at
-    speed 0.25 of `test_reconstruct_translation_sup_norm_and_direction`,
-    every interval has face norm 0.258887 and the largest cell sup-norm is
-    0.2608, with HiGHS presolve on (LP_OPTIONS) and off alike.
+    does not depend on the solver or on the basis it starts from.  Phase 2
+    minimizes the total face speed sum |m_e| / f_e under that bound.  On the
+    96^2 ramp ball translated at speed 0.25 of
+    `test_reconstruct_translation_sup_norm_and_direction`, every interval has
+    face norm 0.258887 and the largest cell sup-norm is 0.2608, with the
+    chained LPs run without HiGHS presolve (LP_OPTIONS) and with it alike.
     """
+    spec = system.spec
     rhs = (f0 - f1).ravel() / dt
     if abs(rhs.sum() * spec.cell_volume) > 1e-9:
         raise InfeasibleError("mass mismatch between consecutive densities")
     if not _support_compatible(f0, f1):
         raise InputError("consecutive supports differ by more than one cell")
-    D = _divergence_matrix(spec)
-    fbar = 0.5 * (f0 + f1)
-    faces = [_face_density(fbar, ax) for ax in range(spec.dim)]
-    fface = np.concatenate([f.ravel() for f in faces])
-    active = fface > 0
-    Da = D[:, active]
-    fa = fface[active]
+    rhs = rhs[system.rows]
+    D, f = system.D, system.fface[k]
     if norm == "l2":
+        active = f > 0
+        Da, fa = D[:, active], f[active]
         ma = _kinetic_momentum(Da, fa, rhs)
         resid = float(np.linalg.norm(Da @ ma - rhs))
         if resid > _residual_bound(rhs):
@@ -307,15 +357,16 @@ def _solve_interval(spec, f0, f1, dt, norm):
             )
         solid = fa >= DENSITY_FLOOR
         face_norm = float(np.abs(ma[solid] / fa[solid]).max()) if solid.any() else 0.0
-    elif norm == "linf":
-        ma, face_norm = _sup_norm_momentum(Da, fa, rhs, spec.cell_volume * dt)
-        resid = float(np.linalg.norm(Da @ ma - rhs))
+        mu = np.zeros(len(f))
+        mu[active] = ma
     else:
-        raise InputError(f"unknown norm {norm!r}; use 'l2' or 'linf'")
-    m = np.zeros(D.shape[1])
-    m[active] = ma
-    vcell = _cell_vectors(m, faces, spec)
+        mu, face_norm = system.sup_norm_momentum(k, rhs, spec.cell_volume * dt)
+        resid = float(np.linalg.norm(D @ mu - rhs))
+    m = np.zeros(len(system.columns))
+    m[system.columns] = mu
+    vcell = _cell_vectors(m, system.faces[k], spec)
     speed = np.linalg.norm(vcell, axis=-1)
+    fbar = system.fbars[k]
     sup_norm = float(speed[fbar >= DENSITY_FLOOR].max()) if np.any(fbar >= DENSITY_FLOOR) else 0.0
     return vcell, sup_norm, face_norm, resid
 
@@ -326,20 +377,22 @@ def reconstruct_velocity(traj: Trajectory, norm: str = "linf") -> ReconstructedF
 
     norm='l2' gives the momentum of least kinetic energy sum m^2 / f (one
     direct weighted-Laplacian solve per interval); norm='linf' gives the
-    minimal sup-norm momentum.  Either raises InfeasibleError, naming the
-    mass that cannot move, when no flow along faces of positive density
-    carries the change.  The returned field is indexed by interval, with
-    times at the interval left endpoints.
+    minimal sup-norm momentum, from two LPs that every interval after the
+    first re-solves from the last basis (`_FaceSystem`).  Either raises
+    InfeasibleError, naming the mass that cannot move, when no flow along
+    faces of positive density carries the change.  The returned field is
+    indexed by interval, with times at the interval left endpoints.
     """
     if len(traj) < 2:
         raise InputError("need at least 2 time samples")
-    spec = traj.spec
+    if norm not in ("l2", "linf"):
+        raise InputError(f"unknown norm {norm!r}; use 'l2' or 'linf'")
+    densities = [d.values for d in traj.densities]
+    system = _FaceSystem(traj.spec, densities)
     vectors, sup_norms, face_norms, residuals = [], [], [], []
     for k in range(len(traj) - 1):
         dt = traj.times[k + 1] - traj.times[k]
-        vcell, sup_n, face_n, resid = _solve_interval(
-            spec, traj.densities[k].values, traj.densities[k + 1].values, dt, norm
-        )
+        vcell, sup_n, face_n, resid = _solve_interval(system, k, densities[k], densities[k + 1], dt, norm)
         vectors.append(vcell)
         sup_norms.append(sup_n)
         face_norms.append(face_n)
@@ -549,6 +602,8 @@ def bb_verify(mu0: GridDensity, mu1: GridDensity, steps: int = 0) -> BBReport:
     both directions of the dynamic formulation at grid tolerance."""
     if mu0.spec != mu1.spec:
         raise InputError("grid spec mismatch")
+    if steps > MAX_BB_STEPS:
+        raise InputError(f"steps must be at most {MAX_BB_STEPS}, got {steps}")
     spec = mu0.spec
     res = winf_grid(mu0, mu1)
     atoms0 = grid_to_atoms(mu0)

@@ -86,6 +86,22 @@ SUBRINGS = 32  # sub-ring resolution used for the radial bottleneck
 # did (0.48-0.56 s at 64^2, about 0.3 ms per candidate), so all 4 * 4096
 # moves of a 64^2 grid would take about 5 s.
 GRID_SEARCH_CELLS = 4096
+# Size caps on the other integers of a scheme, measured on one core of a
+# 2-vCPU x86_64 VM.  Steps: each is one resolvent and one written state, so
+# the cap bounds what a run holds and writes.  1,024 steps of a one-ball
+# radial family (16^2 grid, 4 rings, 8 levels) took 1.1 s and wrote 4.6 MB;
+# a 16^2 grid-family step takes about 0.09 s, so 1,024 of them about 90 s.
+MAX_STEPS = 1_024
+# Levels: the heights a radial sweep tries per ring, capped from a budget of
+# about 5 s and 300 MB as `bottleneck.MAX_ATOMS` is.  On two balls on a 32^2
+# grid (4 rings, 2 steps) 4,096 levels took 1.1 s at 108 MB peak RSS, 8,192
+# took 3.6 s at 190 MB and 32,768 took 6.1 s at 510 MB.
+MAX_LEVELS = 4_096
+# Coarse bins per axis of the grid family's bottleneck term.  A 2D grid the
+# search accepts has at most GRID_SEARCH_CELLS / 2 cells along an axis, so
+# more bins separate no more of its cells; at 2,048 bins a 16^2 grid-family
+# run (budget 4, 2 steps) took 1.1 s at 98 MB.
+MAX_COARSE_BINS = GRID_SEARCH_CELLS // 2
 
 
 @dataclass(frozen=True)
@@ -97,6 +113,7 @@ class StepPartition:
     def __post_init__(self):
         if len(self.steps) == 0 or any(t <= 0 for t in self.steps):
             raise InputError("steps must be positive")
+        _check_step_count(len(self.steps))
 
     @property
     def horizon(self) -> float:
@@ -111,7 +128,13 @@ class StepPartition:
 
     @staticmethod
     def uniform(tau: float, n: int) -> "StepPartition":
+        _check_step_count(n)
         return StepPartition((float(tau),) * n)
+
+
+def _check_step_count(n: int) -> None:
+    if n > MAX_STEPS:
+        raise InputError(f"steps must be at most {MAX_STEPS}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +157,8 @@ class RadialFamily:
             raise InputError("rings must be in 1..8")
         if self.levels < 1:
             raise InputError(f"levels must be >= 1, got {self.levels}")
+        if self.levels > MAX_LEVELS:
+            raise InputError(f"levels must be at most {MAX_LEVELS}, got {self.levels}")
         if self.max_sweeps < 0:
             raise InputError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
         if abs(sum(self.masses) - 1.0) > 1e-9:
@@ -181,6 +206,8 @@ class GridSearchFamily:
             raise InputError(f"move budget must be >= 0, got {self.budget}")
         if self.coarse_bins < 1:
             raise InputError(f"coarse_bins must be >= 1, got {self.coarse_bins}")
+        if self.coarse_bins > MAX_COARSE_BINS:
+            raise InputError(f"coarse_bins must be at most {MAX_COARSE_BINS}, got {self.coarse_bins}")
 
 
 @dataclass(frozen=True)

@@ -185,9 +185,10 @@ def test_reconstruct_translation_sup_norm_and_direction():
     check_translation_sup_norm_and_direction()
 
 
-def test_reconstruct_translation_sup_norm_without_presolve(monkeypatch):
+def test_reconstruct_translation_sup_norm_with_presolve(monkeypatch):
     # the phase-2 vertex, and so the cell sup-norm, must not hinge on a
-    # solver default: the same bounds hold with HiGHS presolve off
+    # solver setting: the same bounds hold with HiGHS presolve on, which
+    # the chained LPs run without (LP_OPTIONS)
     calls = []
     run = _highs.Model.run
 
@@ -195,11 +196,11 @@ def test_reconstruct_translation_sup_norm_without_presolve(monkeypatch):
         calls.append(model)
         return run(model)
 
-    monkeypatch.setattr(dynamics, "LP_OPTIONS", {"presolve": False})
+    monkeypatch.setattr(dynamics, "LP_OPTIONS", {"presolve": True})
     monkeypatch.setattr(_highs.Model, "run", counted)
     check_translation_sup_norm_and_direction()
     assert len(calls) == 10  # two LPs per interval
-    assert all(m._highs.getOptionValue("presolve")[1] == "off" for m in calls)
+    assert all(m._highs.getOptionValue("presolve")[1] == "on" for m in calls)
 
 
 def test_reconstruct_l2_direction_on_bulk():
@@ -316,14 +317,125 @@ def test_reconstruct_mass_mismatch_errors():
 
 
 def face_lp(f0: GridDensity, f1: GridDensity, dt: float):
-    """The active-face divergence, face densities and rhs of one interval,
-    built as `_solve_interval` builds them."""
-    spec = f0.spec
-    D = dynamics._divergence_matrix(spec)
-    fbar = 0.5 * (f0.values + f1.values)
-    fface = np.concatenate([dynamics._face_density(fbar, ax).ravel() for ax in range(spec.dim)])
-    active = fface > 0
-    return D[:, active], fface[active], (f0.values - f1.values).ravel() / dt
+    """The divergence on the active faces of one interval, their densities
+    and the rhs, restricted to the cells those faces touch, as
+    `_FaceSystem` builds them for a one-interval trajectory."""
+    system = dynamics._FaceSystem(f0.spec, [f0.values, f1.values])
+    rhs = (f0.values - f1.values).ravel() / dt
+    return system.D, system.fface[0], rhs[system.rows]
+
+
+CHAINS = ("translate_cells", "translate_fraction", "dilate", "blob_shifts")
+
+
+def chain(name: str) -> Trajectory:
+    """A seeded multi-interval curve: a ramp ball translated by whole cells
+    or by fractions of a cell, dilated, or a random blob shifted one cell
+    per interval in random directions."""
+    rng = np.random.default_rng([2027, CHAINS.index(name)])
+    spec = square_grid(32, 4.0)
+    times = list(np.linspace(0.0, 1.0, 5))
+    g = make_ramp_ball(spec, tuple(spec.h * rng.integers(-2, 3, 2)), 1.0, 0.4, guard=0.05)
+    if name == "translate_cells":
+        axis, sign = int(rng.integers(2)), int(rng.choice([-1, 1]))
+        V = np.zeros(2)
+        V[axis] = 4 * sign * spec.h  # one cell per interval
+        return translate_curve(g, tuple(V), times)
+    if name == "translate_fraction":
+        return translate_curve(g, tuple(rng.uniform(-0.4, 0.4, 2)), times)
+    if name == "dilate":
+        return dilate_curve(g, float(rng.uniform(1.1, 1.25)), times, guard=0.05)
+    spec = square_grid(24, 1.0)
+    states = [random_blob(rng, spec, margin=6)]
+    for _ in range(4):
+        values = int_shift(states[-1].values, int(rng.integers(2)), int(rng.choice([-1, 1])))
+        states.append(GridDensity(spec, values))
+    return Trajectory(tuple(times), tuple(states))
+
+
+def chain_intervals(traj: Trajectory):
+    """Every interval of the chained sup-norm solve of `traj`, in order, as
+    `reconstruct_velocity` runs it: (system, k, rhs, m, face norm)."""
+    densities = [d.values for d in traj.densities]
+    system = dynamics._FaceSystem(traj.spec, densities)
+    for k in range(len(traj) - 1):
+        dt = traj.times[k + 1] - traj.times[k]
+        rhs = ((densities[k] - densities[k + 1]).ravel() / dt)[system.rows]
+        m, face_norm = system.sup_norm_momentum(k, rhs, traj.spec.cell_volume * dt)
+        yield system, k, rhs, m, face_norm
+
+
+def cold_face_norm(traj: Trajectory, k: int) -> float:
+    """Interval k's face norm from a trajectory of that interval alone, whose
+    LPs start cold."""
+    one = Trajectory((0.0, traj.times[k + 1] - traj.times[k]), traj.densities[k : k + 2])
+    return reconstruct_velocity(one, "linf").face_norms[0]
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_chained_intervals_match_cold_solves(name):
+    traj = chain(name)
+    rec = reconstruct_velocity(traj, "linf")
+    for system, k, rhs, m, face_norm in chain_intervals(traj):
+        assert face_norm > 0.0
+        assert face_norm == pytest.approx(cold_face_norm(traj, k), rel=1e-12, abs=0.0)
+        assert rec.face_norms[k] == face_norm
+        f = system.fface[k]
+        cap = np.where(f > 0, face_norm * (1.0 + 1e-9) * f + 1e-15, 0.0)
+        assert np.all(np.abs(m) <= cap)
+        assert np.linalg.norm(system.D @ m - rhs) <= dynamics._residual_bound(rhs)
+        assert rec.residuals[k] <= dynamics._residual_bound(rhs)
+
+
+def test_reconstruct_builds_one_model_per_phase(monkeypatch):
+    # the LPs of every interval after the first re-solve the same two models
+    built = []
+    init = _highs.Model.__init__
+
+    def counted(model, *args):
+        built.append(model)
+        init(model, *args)
+
+    monkeypatch.setattr(_highs.Model, "__init__", counted)
+    traj = chain("dilate")
+    reconstruct_velocity(traj, "linf")
+    assert len(built) == 2
+    # the l2 field solves no LP
+    reconstruct_velocity(traj, "l2")
+    assert len(built) == 2
+
+
+def test_zero_motion_between_moving_intervals():
+    # a pause leaves phase 1 unbounded (no motion) and the next interval's
+    # value as it is without the pause
+    moving = chain("translate_cells")
+    f0, f1, f2 = moving.densities[:3]
+    paused = Trajectory((0.0, 0.25, 0.5, 0.75), (f0, f1, f1, f2))
+    rec = reconstruct_velocity(paused, "linf")
+    want = reconstruct_velocity(moving, "linf").face_norms
+    assert rec.face_norms[1] == 0.0
+    assert rec.sup_norms[1] <= 1e-12
+    assert rec.face_norms[0] == want[0]
+    assert rec.face_norms[2] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+    assert max(rec.residuals) <= 1e-9
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("swap", [0.1, 1e-6])
+def test_unroutable_swap_after_a_moving_interval(swap, norm):
+    # the error of a chained interval names the mass of that interval's own
+    # faces, as the interval alone does
+    alone = two_ball_swap(swap)
+    f0, f1 = (d.values for d in alone.densities)
+    spec = alone.spec
+    moved = GridDensity(spec, int_shift(f0, 1, 1))
+    traj = Trajectory((0.0, 1.0, 2.0), (alone.densities[0], moved, GridDensity(spec, int_shift(f1, 1, 1))))
+    with pytest.raises(InfeasibleError) as chained:
+        reconstruct_velocity(traj, norm)
+    with pytest.raises(InfeasibleError) as cold:
+        reconstruct_velocity(Trajectory((0.0, 1.0), traj.densities[1:]), norm)
+    assert f"mass {swap:.3g} cannot move" in str(chained.value)
+    assert str(chained.value).split(" (")[0] == str(cold.value).split(" (")[0]
 
 
 def inequality_row_face_norm(Da, fa, rhs) -> float:
@@ -362,45 +474,59 @@ def oracle_pairs():
     yield g, GridDensity(spec, int_shift(g.values, 0, 1)), 0.25
 
 
-def test_sup_norm_phase1_matches_inequality_row_oracle():
+def oracle_trajectories():
+    """The chains, and every oracle pair as a trajectory of one interval."""
+    for name in CHAINS:
+        yield chain(name)
     for f0, f1, dt in oracle_pairs():
-        Da, fa, rhs = face_lp(f0, f1, dt)
-        m, face_norm = dynamics._sup_norm_momentum(Da, fa, rhs, f0.spec.cell_volume * dt)
-        assert face_norm == pytest.approx(inequality_row_face_norm(Da, fa, rhs), rel=1e-9)
-        assert np.all(np.abs(m) <= face_norm * (1.0 + 1e-9) * fa + 1e-15)
-        assert np.linalg.norm(Da @ m - rhs) <= 1e-9
-        rec = reconstruct_velocity(Trajectory((0.0, dt), (f0, f1)), "linf")
-        assert rec.face_norms[0] == face_norm
-        assert rec.residuals[0] <= 1e-9
+        yield Trajectory((0.0, dt), (f0, f1))
 
 
-def linprog_phases(Da, fa, rhs):
-    """Oracle: both sup-norm LPs as `linprog` solves them, built the way
-    `_sup_norm_momentum` states them."""
-    nfa = len(fa)
-    cost = np.zeros(nfa + 1)
-    cost[-1] = 1.0
+def test_sup_norm_phase1_matches_inequality_row_oracle():
+    for traj in oracle_trajectories():
+        rec = reconstruct_velocity(traj, "linf")
+        for system, k, rhs, m, face_norm in chain_intervals(traj):
+            f = system.fface[k]
+            active = f > 0
+            oracle = inequality_row_face_norm(system.D[:, active], f[active], rhs)
+            assert face_norm == pytest.approx(oracle, rel=1e-9)
+            assert np.all(np.abs(m) <= np.where(active, face_norm * (1.0 + 1e-9) * f + 1e-15, 0.0))
+            assert np.linalg.norm(system.D @ m - rhs) <= 1e-9
+            assert rec.face_norms[k] == face_norm
+            assert rec.residuals[k] <= 1e-9
+
+
+def linprog_phases(D, f, rhs):
+    """Oracle: both sup-norm LPs of a chain's first interval as `linprog`
+    solves them, built the way `_FaceSystem.sup_norm_momentum` states them."""
+    n = len(f)
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
     res1 = linprog(
         cost,
-        A_eq=sparse.hstack([Da @ sparse.diags(fa), sparse.csr_matrix(rhs[:, None])], format="csr"),
+        A_eq=sparse.hstack([D, sparse.csr_matrix(-rhs[:, None])], format="csr"),
         b_eq=np.zeros(len(rhs)),
-        bounds=np.array([(-1.0, 1.0)] * nfa + [(-np.inf, 0.0)]),
+        bounds=np.column_stack([np.concatenate([-f, [0.0]]), np.concatenate([f, [np.inf]])]),
         method="highs",
+        options=dynamics.LP_OPTIONS,
     )
-    cap = -1.0 / res1.x[-1] * (1.0 + 1e-9) * fa + 1e-15
-    speed = 1.0 / fa
+    active = f > 0
+    cap = np.where(active, 1.0 / res1.x[-1] * (1.0 + 1e-9) * f + 1e-15, 0.0)
+    speed = np.divide(1.0, f, out=np.zeros(n), where=active)
     res2 = linprog(
         np.concatenate([speed, speed]),
-        A_eq=sparse.hstack([Da, -Da], format="csr"),
+        A_eq=sparse.hstack([D, -D], format="csr"),
         b_eq=rhs,
-        bounds=np.column_stack([np.zeros(2 * nfa), np.concatenate([cap, cap])]),
+        bounds=np.column_stack([np.zeros(2 * n), np.concatenate([cap, cap])]),
         method="highs",
+        options=dynamics.LP_OPTIONS,
     )
     return res1, res2
 
 
 def test_sup_norm_phases_match_linprog(monkeypatch):
-    # the adapter runs each phase as linprog(method="highs") would, bit for bit
+    # a chain's first interval is a cold solve of each phase, run as
+    # linprog(method="highs") would run it, bit for bit
     runs = []
     run = _highs.Model.run
 
@@ -409,12 +535,15 @@ def test_sup_norm_phases_match_linprog(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(_highs.Model, "run", recorded)
-    for f0, f1, dt in oracle_pairs():
-        Da, fa, rhs = face_lp(f0, f1, dt)
+    for name in CHAINS:
+        traj = chain(name)
         runs.clear()
-        dynamics._sup_norm_momentum(Da, fa, rhs, f0.spec.cell_volume * dt)
-        assert len(runs) == 2
-        for sol, res in zip(runs, linprog_phases(Da, fa, rhs)):
+        reconstruct_velocity(traj, "linf")
+        assert len(runs) == 2 * (len(traj) - 1)
+        densities = [d.values for d in traj.densities]
+        system = dynamics._FaceSystem(traj.spec, densities)
+        rhs = ((densities[0] - densities[1]).ravel() / traj.times[1])[system.rows]
+        for sol, res in zip(runs[:2], linprog_phases(system.D, system.fface[0], rhs)):
             assert sol.optimal and res.status == 0
             np.testing.assert_array_equal(sol.x, res.x)
             np.testing.assert_array_equal(sol.row_dual, res.eqlin.marginals)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plqp import cli, gridio
+from plqp import cli, dynamics, gridio, mms
 from plqp.errors import InputError
 from plqp.measures import make_ramp_ball, translate_curve
 
@@ -637,6 +637,67 @@ def test_cli_mms_anchor_extent_overflow_exits_2(fuzz_dir):
     rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
     assert rc == 2 and err.startswith("error: spacing h = 6.25e+298 overflows the cell volume"), err
     assert_clean_exit(rc, err, out)
+
+
+# integers past a size cap: each exited 1 with a traceback (an allocation
+# numpy refused, or an int too large for an index) before its cap
+
+
+@pytest.mark.parametrize("steps", [10**10, 10**20, dynamics.MAX_BB_STEPS + 1])
+def test_cli_bb_steps_above_the_cap_exit_2(fuzz_dir, steps):
+    # 10^10 raised _ArrayMemoryError and 10^20 ValueError in np.linspace
+    out = fuzz_dir / "out"
+    a, b = str(fuzz_dir / "a.csv"), str(fuzz_dir / "b.csv")
+    rc, err = run_main("bb", "--steps", str(steps), a, b, "--out", str(out))
+    assert rc == 2 and err.startswith(f"error: steps must be at most {dynamics.MAX_BB_STEPS}"), err
+    assert_clean_exit(rc, err, out)
+
+
+def assert_config_cap_exits_2(fuzz_dir, config, path, value, message):
+    cfg = copy.deepcopy(config)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path, out = fuzz_dir / "capped.json", fuzz_dir / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, err = run_main("mms", "--config", str(cfg_path), "--out", str(out))
+    assert rc == 2 and err.startswith(f"error: {message}"), err
+    assert_clean_exit(rc, err, out)
+
+
+@pytest.mark.parametrize("levels", [2**63, mms.MAX_LEVELS + 1])
+def test_cli_mms_levels_above_the_cap_exit_2(fuzz_dir, levels):
+    # 2^63 raised IndexError
+    message = f"levels must be at most {mms.MAX_LEVELS}"
+    assert_config_cap_exits_2(fuzz_dir, RADIAL_CONFIG, ("family", "levels"), levels, message)
+
+
+@pytest.mark.parametrize("steps", [2**63, mms.MAX_STEPS + 1])
+def test_cli_mms_steps_above_the_cap_exit_2(fuzz_dir, steps):
+    # 2^63 raised OverflowError building the uniform partition
+    message = f"steps must be at most {mms.MAX_STEPS}"
+    assert_config_cap_exits_2(fuzz_dir, RADIAL_CONFIG, ("steps",), steps, message)
+
+
+def test_cli_mms_taus_above_the_step_cap_exit_2(fuzz_dir):
+    taus = [0.1] * (mms.MAX_STEPS + 1)
+    message = f"steps must be at most {mms.MAX_STEPS}"
+    assert_config_cap_exits_2(fuzz_dir, RADIAL_CONFIG, ("taus",), taus, message)
+
+
+@pytest.mark.parametrize("bins", [2**63, mms.MAX_COARSE_BINS + 1])
+def test_cli_mms_coarse_bins_above_the_cap_exit_2(fuzz_dir, bins):
+    # 2^63 raised ValueError from numpy ("Maximum allowed dimension exceeded")
+    message = f"coarse_bins must be at most {mms.MAX_COARSE_BINS}"
+    assert_config_cap_exits_2(fuzz_dir, GRID_CONFIG, ("family", "coarse_bins"), bins, message)
+
+
+@pytest.mark.parametrize("n", [2**40, cli.MAX_ANCHOR_N + 1])
+def test_cli_mms_grid_n_above_the_cap_exit_2(fuzz_dir, n):
+    # 2^40 raised _ArrayMemoryError building the anchor's cell centers
+    message = f"grid n must be at most {cli.MAX_ANCHOR_N}"
+    assert_config_cap_exits_2(fuzz_dir, RADIAL_CONFIG, ("anchor", "grid", "n"), n, message)
 
 
 @pytest.fixture(scope="module")

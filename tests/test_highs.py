@@ -16,8 +16,10 @@ from plqp.transport import LP_OPTIONS, wq_many
 def test_adapter_names_exist_in_a_fresh_interpreter():
     # scipy.optimize._highspy is private to scipy: every name the adapter
     # reads must be there on the installed version, and the array form of
-    # passModel and addCols must take the arguments the adapter passes
+    # passModel and addCols, and the calls that change a model in place,
+    # must take the arguments the adapter passes
     script = """
+import numpy as np
 import scipy.optimize._highspy._core as h
 for name in ("_Highs", "HighsModelStatus", "HighsStatus", "MatrixFormat", "ObjSense",
              "kHighsInf", "simplex_constants"):
@@ -28,7 +30,8 @@ h.HighsModelStatus.kOptimal, h.HighsModelStatus.kUnbounded
 h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 H = h._Highs()
 for method in ("passModel", "addCols", "run", "setOptionValue", "getModelStatus",
-               "getInfo", "getSolution", "modelStatusToString"):
+               "getInfo", "getSolution", "modelStatusToString", "changeColsBounds",
+               "changeColsCost", "changeRowBounds", "changeCoeff", "getColEntries"):
     assert callable(getattr(H, method)), method
 for option in ("output_flag", "simplex_strategy", "presolve",
                "primal_feasibility_tolerance", "dual_feasibility_tolerance"):
@@ -43,6 +46,13 @@ assert list(model.run().x) == [1.0, 0.0]
 model.add_cols([0.5], [0.0], [_highs.INF], [0, 1], [0], [1.0])
 sol = model.run()
 assert sol.optimal and list(sol.x) == [0.0, 0.0, 1.0] and list(sol.row_dual) == [0.5]
+# x0 costs 3 and x2 at most 0.25, then x0 + x1 + x2 = 2, then x2 holds 2 in the row
+model.change_cols([0, 2], [0.0, 0.0], [_highs.INF, 0.25], [3.0, 0.5])
+assert list(model.run().x) == [0.0, 0.75, 0.25]
+model.change_rows(np.array([2.0]), np.array([2.0]))
+assert list(model.run().x) == [0.0, 1.75, 0.25]
+model.replace_col(2, [0], [2.0])
+assert list(model.run().x) == [0.0, 1.5, 0.25]
 print("ok")
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -46,8 +46,9 @@ is the two point sets and these capacities, and nothing else: `instance_key`
 returns them, so a caller that caches results keys on it.
 
 `quantile_gaps` is the one kernel of the monotone (quantile) coupling on the
-line, read by `winf_radial`, the radial scheme sweeps and
-`transport.monotone_1d`; its mass rule makes rounding-level differences 0.
+line, read by `winf_radial`, the radial scheme sweeps, and the line route
+and `monotone_1d` of `transport`; its mass rule makes rounding-level
+differences 0.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
-from .transport import Coupling, _assignments, _batches, _check_pairs, _pairwise_distances
+from .transport import Coupling, _assignments, _batches, _check_pairs, _distances, _pairwise_distances
 
 # hard cap on atoms per side, as transport.MAX_DENSE_ATOMS is, and set from
 # its budget of about 5 s and 300 MB peak RSS per solve.  Peak RSS grows with
@@ -348,7 +349,7 @@ def neighborhood_check(
         for p in pts:
             on |= np.all(mu.points == p, axis=1)
         mu_mass = mu.weights[on].sum()
-        d = np.linalg.norm(nu.points[:, None, :] - pts[None, :, :], axis=2).min(axis=1)
+        d = _distances(nu.points, pts).min(axis=1)
         nu_mass = nu.weights[d <= eps + tol].sum()
         if mu_mass > nu_mass + tol:
             return False
@@ -395,7 +396,7 @@ def quantile_reference(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndar
 
 def quantile_gaps(
     points: np.ndarray, weights: np.ndarray, ref_points: np.ndarray, ref_cum: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The monotone (quantile) coupling on the line of each row against one
     reference distribution, segment by segment.
 
@@ -407,13 +408,19 @@ def quantile_gaps(
     reaches `level`; quantiles past a row's (or the reference's) total go to
     its last positive atom.
 
-    Returns (mass, gap), each of shape (rows, n + m) for n points and m
-    reference atoms: the mass each segment matches and the distance it moves
-    it.  A segment counts only if its mass exceeds (n + m) eps, the rounding
-    bound of the two cumulative sums: two distributions equal up to rounding
-    split a level into a sliver that pairs an atom with its neighbour.  A
-    segment that does not count has mass and gap 0.  So a row's W_q is
-    (sum mass gap^q)^(1/q) and its bottleneck cost is its largest gap.
+    Returns (mass, gap, ia, ib), each of shape (rows, n + m) for n points
+    and m reference atoms: the mass each segment matches, the distance it
+    moves it, and the indices of its row atom in `points` and of its
+    reference atom in `ref_points`.  A segment counts only if its mass
+    exceeds (n + m) eps, the rounding bound of the two cumulative sums: two
+    distributions equal up to rounding split a level into a sliver that
+    pairs an atom with its neighbour.  A segment that does not count has
+    mass and gap 0, and keeps its indices.  So a row's W_q is
+    (sum mass gap^q)^(1/q) and its bottleneck cost is its largest gap.  From
+    one segment to the next, exactly one of ia and ib steps up by one, except
+    where a side has run out (its index then stays at its last atom): on a
+    row of positive weights the indices walk a staircase from (0, 0) to
+    (n - 1, m - 1) through every row and every reference atom.
     """
     w = np.atleast_2d(weights)
     cum = np.cumsum(w, axis=1)
@@ -436,7 +443,7 @@ def quantile_gaps(
     ib = np.minimum(np.arange(n + m) - ia, m - 1)
     last = n - 1 - np.argmax(w[:, ::-1] > 0, axis=1)
     ia = np.where(ia < n, ia, last[:, None])
-    return mass, np.where(mass > 0, np.abs(points[ia] - ref_points[ib]), 0.0)
+    return mass, np.where(mass > 0, np.abs(points[ia] - ref_points[ib]), 0.0), ia, ib
 
 
 def winf_radial(mu: RadialMeasure, nu: RadialMeasure) -> float:
@@ -448,5 +455,5 @@ def winf_radial(mu: RadialMeasure, nu: RadialMeasure) -> float:
     """
     if np.linalg.norm(mu.center - nu.center) > 1e-12:
         raise InputError("radial measures must share a center")
-    _, gap = quantile_gaps(mu.radii, mu.weights, *quantile_reference(nu.radii, nu.weights))
+    gap = quantile_gaps(mu.radii, mu.weights, *quantile_reference(nu.radii, nu.weights))[1]
     return float(gap.max())

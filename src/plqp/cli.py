@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio
-# `wq` (below) and `winf` are unused here but stay bound: perfbench/tracer.py patches them
+# `wq`, `monotone_1d` (below) and `winf` are unused here but stay bound:
+# perfbench/tracer.py patches them
 from .bottleneck import winf, winf_many, winf_permutation_oracle  # noqa: F401
 from .dynamics import bb_verify, continuity_residual, reconstruct_velocity
 from .errors import InfeasibleError, InputError
@@ -46,7 +47,7 @@ from .mms import (
     solution_ledger,
 )
 from .plmetric import PLMetricParams, dqp
-from .transport import monotone_1d, wq, wq_many, wq_permutation_oracle  # noqa: F401
+from .transport import monotone_1d, wq, wq_lp_many, wq_many, wq_permutation_oracle  # noqa: F401
 
 
 def _real(value, what: str) -> float:
@@ -338,8 +339,9 @@ def cmd_oracle(args) -> dict:
         a = DiscreteMeasure(rng.uniform(0, 10, (m, 1)), rng.dirichlet(np.ones(m)))
         b = DiscreteMeasure(rng.uniform(0, 10, (k, 1)), rng.dirichlet(np.ones(k)))
         pairs.append((a, b))
+    # the line route against the transport LP on all pairs
     worst_1d = max(
-        abs(r.cost - monotone_1d(a, b, 1.5)) for r, (a, b) in zip(wq_many(pairs, 1.5), pairs)
+        abs(r.cost - lp.cost) for r, lp in zip(wq_many(pairs, 1.5), wq_lp_many(pairs, 1.5))
     )
     return {
         "instances": args.instances,

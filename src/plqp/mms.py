@@ -398,7 +398,7 @@ class _ComponentScores:
 
     def radial_bottleneck(self, j: int, rows: np.ndarray) -> np.ndarray:
         g = self.rings[j]
-        _, gap = quantile_gaps(g.sub_radii, _subring_weights(g, rows), *self.refs[j])
+        gap = quantile_gaps(g.sub_radii, _subring_weights(g, rows), *self.refs[j])[1]
         return gap.max(axis=-1)
 
     def __call__(self, j: int, h: np.ndarray, own=None) -> _Component:

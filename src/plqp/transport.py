@@ -1,31 +1,44 @@
 """Exact q-Wasserstein distances between discrete measures, 1 <= q < infinity.
 
-`wq_many` solves the transport linear program with HiGHS (Huangfu & Hall,
-Math. Prog. Comp. 2018), presolve off, on a restricted edge set grown by a
-sparse multiscale scheme (Schmitzer, JMIV 2016; Oberman & Ruan,
-arXiv:1509.03668); `wq` is a batch of one.  Every LP goes through the HiGHS
-adapter `_highs.Model`, built column-wise: each edge column holds two ones,
-in its supply row and its demand row.  Instances of at most FULL_EDGE_PAIRS
-pairs solve the LP on all pairs, and several of them share one
-block-diagonal LP of at most BATCH_EDGES edges, since on LPs that small the
-solver's set-up costs more than the solve.  Larger instances, one at a time,
-first solve a coarser instance, binned onto a lattice, the same way; its plan
-and duals seed the edge set, and pricing rounds add pairs with negative
-reduced cost until none is left on all m x n pairs.  The rounds of one level
-add their pairs as columns to one HiGHS model, so each re-solve is
-warm-started from the last optimal basis.  Each instance is certified
-against the true float weights: the plan's marginals to MARGINAL_TOL, and
-optimality by the LP duals (u, v): reduced costs d^q - u - v >= 0 on all
-pairs and a zero duality gap, both to OPTIMALITY_TOL * max(1, max d^q).  The
-reported cost is re-evaluated from the returned plan in float, so it matches
-the plan to machine precision.
+`wq_many` takes one of two routes per pair, and `wq` is a batch of one.
+Both routes certify every pair the same way, against the true float
+weights: the plan's marginals to MARGINAL_TOL, and optimality by duals
+(u, v): reduced costs d^q - u - v >= 0 on all m x n pairs and a zero
+duality gap, both to OPTIMALITY_TOL * max(1, max d^q).  The reported cost
+is re-evaluated from the returned plan in float, so it matches the plan to
+machine precision.  Pairwise distances have one kernel, `_distances`.
 
-The 1D oracle `monotone_1d` reads the monotone-coupling kernel
-`bottleneck.quantile_gaps` and shares its rounding-aware mass rule.
+Pairs on the line take the line route, which builds no LP.  There the
+monotone (quantile) coupling is optimal for q >= 1 (Santambrogio, Optimal
+Transport for Applied Mathematicians, 2015, ch. 2).  The plan is the
+segments of `bottleneck.quantile_gaps`, the one kernel of that coupling,
+which the oracle `monotone_1d` reads too.  The duals come from the
+staircase that the segments walk: u_i + v_j = d^q on every segment,
+zero-mass ones included, solved by one cumulative sum over the segments
+where the row index steps.  On sorted supports d^q is a Monge array, so
+the duals of any such staircase are feasible.
+
+Every other pair takes the LP route.  `wq_lp_many` runs it on any pair,
+lines included, as the oracle of the line route.  It solves the transport
+linear program with HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018),
+presolve off, on a restricted edge set grown by a sparse multiscale scheme
+(Schmitzer, JMIV 2016; Oberman & Ruan, arXiv:1509.03668).  Every LP goes
+through the HiGHS adapter `_highs.Model`, built column-wise: each edge
+column holds two ones, in its supply row and its demand row.  Instances of
+at most FULL_EDGE_PAIRS pairs solve the LP on all pairs, and several of
+them share one block-diagonal LP of at most BATCH_EDGES edges, since on LPs
+that small the solver's set-up costs more than the solve.  Larger
+instances, one at a time, first solve a coarser instance, binned onto a
+lattice, the same way; its plan and duals seed the edge set, and pricing
+rounds add pairs with negative reduced cost until none is left on all
+m x n pairs.  The rounds of one level add their pairs as columns to one
+HiGHS model, so each re-solve is warm-started from the last optimal basis.
+The LP duals certify the plan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,7 +122,7 @@ class Coupling:
         return err
 
     def max_distance(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        d = np.linalg.norm(mu.points[self.src] - nu.points[self.dst], axis=1)
+        d = _norms(mu.points[self.src].T - nu.points[self.dst].T)
         return float(d.max()) if len(d) else 0.0
 
 
@@ -117,14 +130,17 @@ class Coupling:
 class TransportStats:
     """What one `wq` solve did.
 
-    lp_solves: LP solves per level of the multiscale recursion, finest first
-    (one level, one solve, for instances solved on all pairs).  edges: the
-    finest level's final edge count.  reduced_cost, gap: the certificate's
-    worst negative reduced cost and duality gap, absolute.  batch: the
-    instances that shared the finest level's LP (1 unless `wq_many` packed
-    it into a block-diagonal LP with others).  simplex_iterations: HiGHS
-    simplex iterations summed over the finest level's solves (for a packed
-    instance, those of the shared LP).
+    route: "lp" for the transport LP, "line" for the monotone coupling of a
+    pair on the line, which solves no LP.  lp_solves: LP solves per level of
+    the multiscale recursion, finest first (one level, one solve, for
+    instances solved on all pairs; empty on the line route).  edges: the
+    finest level's final edge count (on the line route, the plan's support
+    size).  reduced_cost, gap: the certificate's worst negative reduced cost
+    and duality gap, absolute.  batch: the instances that shared the finest
+    level's LP (1 unless `wq_many` packed it into a block-diagonal LP with
+    others; 1 on the line route).  simplex_iterations: HiGHS simplex
+    iterations summed over the finest level's solves (for a packed
+    instance, those of the shared LP; 0 on the line route).
     """
 
     lp_solves: tuple[int, ...]
@@ -133,11 +149,12 @@ class TransportStats:
     gap: float
     batch: int
     simplex_iterations: int
+    route: str
 
     @property
     def levels(self) -> int:
-        """Coarse levels solved below the finest."""
-        return len(self.lp_solves) - 1
+        """Coarse levels solved below the finest (0 on the line route)."""
+        return max(len(self.lp_solves) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -148,8 +165,26 @@ class TransportResult:
     stats: TransportStats
 
 
+def _norms(diffs) -> np.ndarray:
+    """Euclidean lengths from per-axis differences, squared in place and
+    summed one axis at a time, in axis order.  Up to 7 axes that is the
+    order, and so the rounding, of `np.linalg.norm` over the last axis;
+    from 8 axes numpy sums that axis in another order, and the last ulp can
+    differ."""
+    total = None
+    for d in diffs:
+        np.multiply(d, d, out=d)
+        if total is None:
+            total = d
+        else:
+            total += d
+    return np.sqrt(total, out=total)
+
+
 def _distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    """All pairwise distances between the rows of pa and of pb: the one
+    place that builds them."""
+    return _norms(np.subtract.outer(x, y) for x, y in zip(pa.T, pb.T))
 
 
 def _pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -405,46 +440,132 @@ def _check_pairs(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], cap: int)
             raise InputError("dimension mismatch between measures")
 
 
-def wq_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> list[TransportResult]:
-    """Exact optimum of the transport problem with ground cost d(x, y)^q for
-    every pair (mu, nu), in order.
+def _certified(
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    q: float,
+    D: np.ndarray,
+    Cq: np.ndarray,
+    plan: Coupling,
+    u: np.ndarray,
+    v: np.ndarray,
+    **stats,
+) -> TransportResult:
+    """The result of one pair once its plan passes `check_marginals` and its
+    duals `check_optimality`; raises InfeasibleError otherwise."""
+    plan.check_marginals(mu, nu)
+    neg, gap = check_optimality(Cq, plan, u, v, mu.weights, nu.weights)
+    return TransportResult(_plan_cost(D, plan, q), q, plan, TransportStats(reduced_cost=neg, gap=gap, **stats))
 
-    Pairs of at most FULL_EDGE_PAIRS pairs are packed, in order, into
-    block-diagonal LPs of at most BATCH_EDGES edges; larger pairs run the
-    multiscale route one at a time.  Every pair is checked and certified on
-    its own, at its own bound: its marginals, and `check_optimality` on its
-    own costs with its own block of the duals.  Raises if any pair fails
-    its input checks or its certificate.
-    """
+
+def _check_wq(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> None:
     if math.isinf(q):
         raise InputError("q = inf: use the bottleneck module")
     if q < 1:
         raise InputError("need q >= 1")
     _check_pairs(pairs, MAX_DENSE_ATOMS)
+
+
+def _monotone(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """`bottleneck.quantile_gaps` of a pair on the line, mu as the row and nu
+    as the reference, both sorted: (mass, gap, i, j) per segment, with the
+    atom indices i of mu and j of nu in their own order."""
+    # bottleneck imports this module, so its kernel is looked up at call time
+    from .bottleneck import quantile_gaps, quantile_reference
+
+    xs = np.argsort(mu.points[:, 0], kind="stable")
+    ys = np.argsort(nu.points[:, 0], kind="stable")
+    ref = quantile_reference(nu.points[ys, 0], nu.weights[ys])
+    mass, gap, ia, ib = quantile_gaps(mu.points[xs, 0], mu.weights[xs], *ref)
+    # every weight is positive, so the reference keeps every atom of nu
+    return mass[0], gap[0], xs[ia[0]], ys[ib[0]]
+
+
+def _line(mu: DiscreteMeasure, nu: DiscreteMeasure, Cq: np.ndarray) -> tuple[Coupling, np.ndarray, np.ndarray]:
+    """The monotone coupling of a pair on the line, entries sorted by source
+    and then target, and its staircase duals u, v.
+
+    The segments of `quantile_gaps` walk a staircase through every atom of
+    both sides, one index stepping at a time.  Along it u_i + v_j = Cq_ij on
+    every segment, zero-mass ones included: u starts at 0 and moves by the
+    step in Cq wherever the row index steps; v is Cq - u.
+    """
+    mass, _, i, j = _monotone(mu, nu)
+    c = Cq[i, j]
+    row_steps = np.diff(i) != 0
+    path_u = np.concatenate([[0.0], np.cumsum(np.where(row_steps, np.diff(c), 0.0))])
+    u, v = np.empty(len(mu)), np.empty(len(nu))
+    u[i], v[j] = path_u, c - path_u
+    keep = mass > 0
+    order = np.lexsort((j[keep], i[keep]))
+    return Coupling(i[keep][order], j[keep][order], mass[keep][order], len(mu), len(nu)), u, v
+
+
+def _lp_route(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> list[TransportResult]:
+    """The LP route of `wq_lp_many` on pairs that passed `_check_wq`."""
     small = [k for k, (mu, nu) in enumerate(pairs) if len(mu) * len(nu) <= FULL_EDGE_PAIRS]
     costs = {k: _costs(*pairs[k], q) for k in small}
     out: list[TransportResult | None] = [None] * len(pairs)
-
-    def certify(k, D, Cq, plan, u, v, solves, edges, batch, iterations):
-        mu, nu = pairs[k]
-        plan.check_marginals(mu, nu)
-        neg, gap = check_optimality(Cq, plan, u, v, mu.weights, nu.weights)
-        stats = TransportStats(solves, edges, neg, gap, batch, iterations)
-        out[k] = TransportResult(_plan_cost(D, plan, q), q, plan, stats)
-
     for run in _batches([costs[k][1].size for k in small], BATCH_EDGES):
         ks = [small[i] for i in run]
         blocks = [(costs[k][1], pairs[k][0].weights, pairs[k][1].weights) for k in ks]
         solved, iterations = _solve_blocks(blocks)
         for k, (plan, u, v) in zip(ks, solved):
-            certify(k, *costs[k], plan, u, v, (1,), costs[k][1].size, len(ks), iterations)
+            out[k] = _certified(
+                *pairs[k], q, *costs[k], plan, u, v, route="lp", lp_solves=(1,),
+                edges=costs[k][1].size, batch=len(ks), simplex_iterations=iterations,
+            )
     for k, (mu, nu) in enumerate(pairs):
         if out[k] is None:
             D, Cq = _costs(mu, nu, q)
             plan, u, v, solves, edges, iterations = _transport(
                 Cq, mu.points, mu.weights, nu.points, nu.weights, q
             )
-            certify(k, D, Cq, plan, u, v, solves, edges, 1, iterations)
+            out[k] = _certified(
+                mu, nu, q, D, Cq, plan, u, v, route="lp", lp_solves=solves,
+                edges=edges, batch=1, simplex_iterations=iterations,
+            )
+    return out
+
+
+def wq_lp_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> list[TransportResult]:
+    """`wq_many` with every pair on the LP route, lines included: the oracle
+    of the line route.
+
+    Pairs of at most FULL_EDGE_PAIRS pairs are packed, in order, into
+    block-diagonal LPs of at most BATCH_EDGES edges; larger pairs run the
+    multiscale route one at a time.  Every pair is checked and certified on
+    its own, at its own bound: its marginals, and `check_optimality` on its
+    own costs with its own block of the duals.
+    """
+    _check_wq(pairs, q)
+    return _lp_route(pairs, q)
+
+
+def wq_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> list[TransportResult]:
+    """Exact optimum of the transport problem with ground cost d(x, y)^q for
+    every pair (mu, nu), in order.
+
+    Pairs on the line take the line route: the monotone coupling with its
+    staircase duals, and no LP.  The others take the LP route of
+    `wq_lp_many`.  Every pair is certified on its own, at its own bound, the
+    same way on both routes: its marginals, and `check_optimality` on all
+    its m x n pairs.  Raises if any pair fails its input checks or its
+    certificate.
+    """
+    _check_wq(pairs, q)
+    solved = iter(_lp_route([(mu, nu) for mu, nu in pairs if mu.dim > 1], q))
+    out = []
+    for mu, nu in pairs:
+        if mu.dim > 1:
+            out.append(next(solved))
+            continue
+        D, Cq = _costs(mu, nu, q)
+        plan, u, v = _line(mu, nu, Cq)
+        out.append(_certified(
+            mu, nu, q, D, Cq, plan, u, v, route="line", lp_solves=(),
+            edges=len(plan.flow), batch=1, simplex_iterations=0,
+        ))
     return out
 
 
@@ -452,6 +573,14 @@ def wq(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> TransportResult:
     """Exact optimum of the transport problem with ground cost d(x, y)^q
     (`wq_many` on one pair)."""
     return wq_many([(mu, nu)], q)[0]
+
+
+@functools.cache
+def _permutations(m: int) -> np.ndarray:
+    """Every permutation of range(m), one per row: one read-only table per m."""
+    table = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
 def _assignments(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -462,7 +591,7 @@ def _assignments(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
         raise InputError("oracle needs equal atom counts <= 8")
     if np.abs(mu.weights - 1.0 / m).max() > 1e-12 or np.abs(nu.weights - 1.0 / m).max() > 1e-12:
         raise InputError("oracle needs uniform weights")
-    return np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    return _permutations(m)
 
 
 def wq_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
@@ -483,15 +612,9 @@ def monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     `bottleneck.quantile_gaps`, with mu sorted as the row and nu as the
     reference.
     """
-    # bottleneck imports this module, so its kernel is looked up at call time
-    from .bottleneck import quantile_gaps, quantile_reference
-
     if mu.dim != 1 or nu.dim != 1:
         raise InputError("monotone coupling is 1-dimensional only")
     if q < 1 or math.isinf(q):
         raise InputError("need finite q >= 1")
-    xs = np.argsort(mu.points[:, 0], kind="stable")
-    ys = np.argsort(nu.points[:, 0], kind="stable")
-    ref = quantile_reference(nu.points[ys, 0], nu.weights[ys])
-    mass, gap = quantile_gaps(mu.points[xs, 0], mu.weights[xs], *ref)
+    mass, gap, _, _ = _monotone(mu, nu)
     return float((mass * gap**q).sum() ** (1.0 / q))

@@ -44,7 +44,7 @@ from plqp.measures import (
 )
 from plqp.mms import RadialFamily, ResolventProblem, StepPartition, run_scheme
 from plqp.plmetric import PLMetricParams, dqp, metric_derivative
-from plqp.transport import monotone_1d, wq, wq_permutation_oracle
+from plqp.transport import monotone_1d, wq, wq_lp_many, wq_permutation_oracle
 
 from helpers import int_shift, random_blob, square_grid
 
@@ -78,7 +78,9 @@ def test_criterion_2_finite_q_exactness():
         q = float(rng.uniform(1.0, 4.0))
         a = DiscreteMeasure(rng.uniform(0, 10, (m, 1)), rng.dirichlet(np.ones(m)))
         b = DiscreteMeasure(rng.uniform(0, 10, (k, 1)), rng.dirichlet(np.ones(k)))
-        worst_1d = max(worst_1d, abs(wq(a, b, q).cost - monotone_1d(a, b, q)))
+        w = wq(a, b, q).cost
+        # the LP on all pairs is the oracle of the line route, as is monotone_1d
+        worst_1d = max(worst_1d, abs(w - monotone_1d(a, b, q)), abs(w - wq_lp_many([(a, b)], q)[0].cost))
     worst_perm = 0.0
     for _ in range(200):
         m = int(rng.integers(2, 7))
@@ -91,7 +93,7 @@ def test_criterion_2_finite_q_exactness():
     report(
         2,
         ok,
-        f"wq vs monotone max {worst_1d:.2e}, vs permutation max {worst_perm:.2e}",
+        f"wq vs monotone and LP max {worst_1d:.2e}, vs permutation max {worst_perm:.2e}",
         elapsed,
         30,
     )

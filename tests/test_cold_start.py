@@ -131,6 +131,12 @@ def test_only_bottleneck_names_the_capacity_scaling():
     assert modules_naming("scale_pair") == ["bottleneck.py"]
 
 
+def test_only_transport_builds_pairwise_distances():
+    # one distance kernel, transport._distances, sums one axis at a time
+    assert modules_naming("subtract.outer") == ["transport.py"]
+    assert modules_naming("[None, :, :]") == []
+
+
 def test_bottleneck_distance_loads_csgraph_only(files):
     _, dist = loaded_after(["dist", "--q", "inf", str(files / "a.csv"), str(files / "b.csv")])
     assert "scipy.sparse.csgraph" in dist

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from plqp import _highs, transport
 from plqp.measures import DiscreteMeasure
-from plqp.transport import LP_OPTIONS, wq_many
+from plqp.transport import LP_OPTIONS, wq_lp_many
 
 
 def test_adapter_names_exist_in_a_fresh_interpreter():
@@ -65,8 +65,8 @@ def random_measure(rng, m, dim=2):
 
 
 def recorded_transport_lps(monkeypatch, pairs, q):
-    """Every transport LP that `wq_many` builds from scratch on these pairs:
-    (cost, src, dst, wa, wb)."""
+    """Every transport LP that the LP route builds from scratch on these
+    pairs, lines included (`wq_lp_many`): (cost, src, dst, wa, wb)."""
     lps = []
     build = transport._model
 
@@ -76,7 +76,7 @@ def recorded_transport_lps(monkeypatch, pairs, q):
 
     with monkeypatch.context() as patch:
         patch.setattr(transport, "_model", recording)
-        wq_many(pairs, q)
+        wq_lp_many(pairs, q)
     return lps
 
 

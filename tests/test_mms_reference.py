@@ -102,7 +102,7 @@ class FullScores:
         edges = np.linspace(0.0, R, fam.rings + 1)
         tv = (np.abs(np.diff(rows, axis=-1, append=0.0)) * 2 * math.pi * edges[1:]).sum(axis=-1)
         l2sq = (rows * rows * ring_areas(R, fam.rings)).sum(axis=-1)
-        _, gap = quantile_gaps(subring_radii(fam, j), subring_weights(fam, j, rows), *self.refs[j])
+        gap = quantile_gaps(subring_radii(fam, j), subring_weights(fam, j, rows), *self.refs[j])[1]
         return tv, l2sq, gap.max(axis=-1), np.abs(rows - self.anchor_heights[j]).max(axis=-1)
 
     def __call__(self, j, h):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import plqp
 from plqp import _highs, transport
+from plqp.bottleneck import winf
 from plqp.errors import InfeasibleError, InputError
 from plqp.measures import DiscreteMeasure
 from plqp.transport import (
@@ -21,6 +22,7 @@ from plqp.transport import (
     check_optimality,
     monotone_1d,
     wq,
+    wq_lp_many,
     wq_many,
     wq_permutation_oracle,
 )
@@ -124,7 +126,70 @@ def test_wq_equals_monotone_1d():
         q = float(rng.choice([1.0, 2.0, 3.0]))
         a = random_measure(rng, m, dim=1)
         b = random_measure(rng, k, dim=1)
-        assert abs(wq(a, b, q).cost - monotone_1d(a, b, q)) <= TOL
+        res = wq(a, b, q)
+        assert res.stats.route == "line"
+        assert abs(res.cost - monotone_1d(a, b, q)) <= TOL
+        # the LP stays the oracle of the line route
+        assert abs(res.cost - wq_lp_many([(a, b)], q)[0].cost) <= TOL
+
+
+def line_pair(rng, k):
+    """A seeded pair on the line of 1-200 atoms a side.  Every fourth pair
+    has tied uniform weights (one side's count a multiple of the other's, so
+    cumulative levels coincide) on a shared lattice, every fourth a single
+    atom on one side, every fourth a single atom on both."""
+    m, n = (int(x) for x in rng.choice([1, 2, 3, 5, 8, 13, 40, 90, 200], 2))
+    kind = k % 4
+    if kind == 1:
+        m = max(m, 2)
+        n = m * int(rng.integers(1, 4))
+        a = DiscreteMeasure(rng.choice(400, m, replace=False)[:, None] / 40, np.full(m, 1.0 / m))
+        b = DiscreteMeasure(rng.choice(1200, n, replace=False)[:, None] / 120, np.full(n, 1.0 / n))
+        return a, b
+    if kind == 2:
+        m = 1
+    if kind == 3:
+        m = n = 1
+    return random_measure(rng, m, dim=1), random_measure(rng, n, dim=1)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_line_route_matches_all_pairs_lp(q):
+    rng = np.random.default_rng(27)
+    pairs = [line_pair(rng, k) for k in range(40)]
+    for (a, b), res, lp in zip(pairs, wq_many(pairs, q), wq_lp_many(pairs, q)):
+        st = res.stats
+        assert st.route == "line" and lp.stats.route == "lp"
+        assert st.lp_solves == () and st.levels == 0 and st.batch == 1 and st.simplex_iterations == 0
+        assert st.edges == len(res.plan.flow) <= len(a) + len(b)
+        assert abs(res.cost - lp.cost) <= 1e-12 * lp.cost
+        assert res.plan.check_marginals(a, b) <= 1e-12
+        bound = transport.OPTIMALITY_TOL * max(1.0, float((_pairwise_distances(a, b) ** q).max()))
+        assert 0.0 <= st.reduced_cost <= bound and 0.0 <= st.gap <= bound
+        assert np.all(np.diff(res.plan.src * len(b) + res.plan.dst) > 0)
+
+
+def test_line_route_raises_when_staircase_duals_are_perturbed(monkeypatch):
+    rng = np.random.default_rng(28)
+    a, b = random_measure(rng, 5, dim=1, box=1.0), random_measure(rng, 6, dim=1, box=1.0)
+    line = transport._line
+    plan, u, v = line(a, b, _pairwise_distances(a, b) ** 2)
+    check_optimality(_pairwise_distances(a, b) ** 2, plan, u, v, a.weights, b.weights)
+    # every atom carries flow, so moving one dual by 1e-6 either way makes a
+    # reduced cost on the plan's support negative or opens the gap by 1e-6
+    # times that atom's weight, both past the bound of about 1e-9
+    for side, size in ((0, len(a)), (1, len(b))):
+        for k in range(size):
+            for step in (1e-6, -1e-6):
+                def perturbed(mu, nu, Cq, side=side, k=k, step=step):
+                    out = list(line(mu, nu, Cq))
+                    out[1 + side] = out[1 + side].copy()
+                    out[1 + side][k] += step
+                    return tuple(out)
+
+                monkeypatch.setattr(transport, "_line", perturbed)
+                with pytest.raises(InfeasibleError, match="certificate"):
+                    wq(a, b, 2.0)
 
 
 def eighths(rng, m):
@@ -210,6 +275,9 @@ def batch_pairs(rng, count, dim, sizes=(1, 31)):
 
 @pytest.mark.parametrize("dim, q", [(2, 2.0), (1, 1.5)])
 def test_wq_many_matches_singleton_wq(monkeypatch, dim, q):
+    # lines take the line route in wq_many, so their LP packing is checked
+    # through wq_lp_many, which runs the same LP route on them
+    solve = wq_many if dim > 1 else wq_lp_many
     rng = np.random.default_rng(23)
     pairs = batch_pairs(rng, 40, dim)
     # one pair above FULL_EDGE_PAIRS takes the multiscale route in the same call
@@ -221,7 +289,7 @@ def test_wq_many_matches_singleton_wq(monkeypatch, dim, q):
         return _solve_lp(cost, src, dst, wa, wb)
 
     monkeypatch.setattr(transport, "_solve_lp", spy)
-    many = wq_many(pairs, q)
+    many = solve(pairs, q)
     assert max(edges) <= transport.BATCH_EDGES
     small = [r for (a, b), r in zip(pairs, many) if len(a) * len(b) <= transport.FULL_EDGE_PAIRS]
     # each LP of b pairs gives b results with batch = b: the edge cap split
@@ -230,7 +298,8 @@ def test_wq_many_matches_singleton_wq(monkeypatch, dim, q):
     assert min(r.stats.batch for r in small) > 1
     assert many[17].stats.batch == 1 and many[17].stats.levels >= 1
     for (a, b), res in zip(pairs, many):
-        one = wq(a, b, q)
+        one = solve([(a, b)], q)[0]
+        assert res.stats.route == one.stats.route == "lp"
         assert abs(res.cost - one.cost) <= 1e-15 * one.cost
         assert res.plan.check_marginals(a, b) <= TOL
         bound = transport.OPTIMALITY_TOL * max(1.0, float((_pairwise_distances(a, b) ** q).max()))
@@ -305,7 +374,9 @@ def test_multiscale_matches_full_edge_lp(case):
     make, q = MULTISCALE_CASES[case]
     mu, nu = make(np.random.default_rng(20))
     assert len(mu) * len(nu) > transport.FULL_EDGE_PAIRS
-    res = wq(mu, nu, q)
+    # a line takes the line route in wq; wq_lp_many runs the LP route on it
+    res = (wq_many if mu.dim > 1 else wq_lp_many)([(mu, nu)], q)[0]
+    assert res.stats.route == "lp"
     full = full_edge_cost(mu, nu, q)
     assert abs(res.cost - full) <= 1e-12 * full
     st = res.stats
@@ -431,6 +502,23 @@ def test_simplex_iterations_of_the_finest_level():
     assert wq(a, b, 2.0).stats.simplex_iterations == _solve_lp(Cq.ravel(), src, dst, a.weights, b.weights)[3]
 
 
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_distances_round_as_the_norm_of_the_differences(dim):
+    # one axis at a time sums in np.linalg.norm's order up to 7 axes
+    rng = np.random.default_rng(dim)
+    for _ in range(30):
+        m, n = (int(x) for x in rng.integers(1, 60, 2))
+        scale = 10.0 ** rng.uniform(-3, 3, dim)
+        pa, pb = rng.normal(0, 1, (m, dim)) * scale, rng.normal(0, 1, (n, dim)) * scale
+        want = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+        got = transport._distances(pa, pb)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        i, j = rng.integers(0, m, 40), rng.integers(0, n, 40)
+        plan = transport.Coupling(i, j, np.ones(40), m, n)
+        mu, nu = DiscreteMeasure(pa, np.full(m, 1.0 / m)), DiscreteMeasure(pb, np.full(n, 1.0 / n))
+        assert plan.max_distance(mu, nu) == want[i, j].max()
+
+
 def test_small_instances_solve_on_all_pairs():
     rng = np.random.default_rng(22)
     mu, nu = random_measure(rng, 30), random_measure(rng, 40)
@@ -524,6 +612,28 @@ def test_plan_feasibility_and_cost_consistency():
         D = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
         direct = float(np.dot(res.plan.flow, D[res.plan.src, res.plan.dst] ** q)) ** (1 / q)
         assert res.cost == pytest.approx(direct, abs=1e-12)
+
+
+# atoms on a 0.05 lattice in [-5, 5] with weights in 1..100 (renormalized),
+# so the gaps to the power q neither underflow nor overflow up to q = 100
+LATTICE_ATOMS = st.lists(st.tuples(st.integers(-100, 100), st.integers(1, 100)), min_size=1, max_size=12)
+
+
+def lattice_measure(atoms):
+    points, weights = np.array(atoms, dtype=float).T
+    return DiscreteMeasure(points[:, None] / 20, weights / weights.sum())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(LATTICE_ATOMS, LATTICE_ATOMS)
+def test_line_wq_is_nondecreasing_in_q_and_below_winf(a, b):
+    mu, nu = lattice_measure(a), lattice_measure(b)
+    top = winf(mu, nu).value
+    values = [wq(mu, nu, q).cost for q in (1.0, 1.5, 2.0, 3.0, 6.0, 12.0, 25.0, 50.0, 100.0)]
+    # equal up to rounding where the coupling moves every atom equally far
+    slack = 1e-12 * top
+    assert all(lo <= hi + slack for lo, hi in zip(values, values[1:]))
+    assert values[-1] <= top + slack
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

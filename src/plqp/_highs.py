@@ -8,12 +8,14 @@
 on the HiGHS object that scipy ships (`scipy.optimize._highspy._core`),
 with A given column-wise.  It sets the options `scipy.optimize.linprog`
 sets for method="highs" (no output, the dual simplex, and the caller's
-presolve and tolerances), so on the same LP it returns the same primal
-values and row duals as `linprog`, without its input checks and sparse
-conversions.  A solved model can grow by columns (`add_cols`), or change
-its column bounds and costs (`change_cols`), its row bounds (`change_rows`)
-or one column's entries (`replace_col`), and run again: HiGHS then starts
-from the last basis.
+presolve, tolerances and dual edge-weight rule, under linprog's names and
+values), so on the same LP it returns the same primal values and row duals
+as `linprog`, without its input checks and sparse conversions.  An option
+that HiGHS rejects raises ValueError, where linprog would warn and drop it.
+A solved model can grow by columns (`add_cols`), or change its column
+bounds and costs (`change_cols`), its row bounds (`change_rows`) or one
+column's entries (`replace_col`), and run again: HiGHS then starts from the
+last basis.
 
 `scipy.optimize._highspy` is private to scipy; pyproject.toml pins the
 scipy range tested with it, and a test checks that every name used here
@@ -30,6 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf  # HiGHS's kHighsInf
+# the values linprog(method="highs") takes for simplex_dual_edge_weight_strategy,
+# as HiGHS's SimplexEdgeWeightStrategy names them
+EDGE_WEIGHT_STRATEGIES = {
+    "dantzig": "kSimplexEdgeWeightStrategyDantzig",
+    "devex": "kSimplexEdgeWeightStrategyDevex",
+    "steepest-devex": "kSimplexEdgeWeightStrategyChoose",
+    "steepest": "kSimplexEdgeWeightStrategySteepestEdge",
+}
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,12 @@ class Model:
 
     start, index, value: the constraint matrix in compressed-column form,
     column j holding value[start[j]:start[j+1]] in rows
-    index[start[j]:start[j+1]].  options: `presolve` (bool) and optionally
-    `primal_feasibility_tolerance` and `dual_feasibility_tolerance`.
+    index[start[j]:start[j+1]].  options: `presolve` (bool), optionally
+    `simplex_dual_edge_weight_strategy` (a key of EDGE_WEIGHT_STRATEGIES),
+    and any other HiGHS option under its own name, with a value of its own
+    type (such as `primal_feasibility_tolerance` and
+    `dual_feasibility_tolerance`).  Raises ValueError naming an option that
+    HiGHS rejects: an unknown name, a value out of range or of another type.
     """
 
     def __init__(self, cost, col_lower, col_upper, start, index, value, row_lower, row_upper, options):
@@ -63,9 +77,13 @@ class Model:
         h.setOptionValue("simplex_strategy", int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
         for key, val in options.items():
             if key == "presolve":
-                h.setOptionValue(key, "on" if val else "off")
-            else:
-                h.setOptionValue(key, float(val))
+                val = "on" if val else "off"
+            elif key == "simplex_dual_edge_weight_strategy":
+                if val not in EDGE_WEIGHT_STRATEGIES:
+                    raise ValueError(f"unknown {key} {val!r}: use one of {sorted(EDGE_WEIGHT_STRATEGIES)}")
+                val = int(getattr(_core.simplex_constants.SimplexEdgeWeightStrategy, EDGE_WEIGHT_STRATEGIES[val]))
+            if h.setOptionValue(key, val) == _core.HighsStatus.kError:
+                raise ValueError(f"HiGHS rejected the option {key} = {val!r}")
         ncol = len(cost)
         # the array form of passModel: setting the fields of a HighsLp copies
         # its matrix element by element, 9 of 11 ms on 14,400 columns

@@ -348,7 +348,7 @@ def cmd_oracle(args) -> dict:
         "seed": args.seed,
         "winf_vs_permutation_max_abs": worst_winf,
         "wq_vs_permutation_max_abs": worst_wq,
-        "wq_vs_monotone1d_max_abs": worst_1d,
+        "line_vs_lp_1d_max_abs": worst_1d,
         "tolerance": 1e-9,
         "pass": bool(max(worst_winf, worst_wq, worst_1d) <= 1e-9),
     }

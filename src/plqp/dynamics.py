@@ -63,7 +63,9 @@ DENSITY_FLOOR = 1e-9  # report v = m/f only where f >= this floor
 # peak RSS and 1,024 steps 5.3 s at 138 MB; at 64^2, 256 steps took 6.1 s.
 MAX_BB_STEPS = 1_024
 # HiGHS options of both sup-norm LPs: presolve off, so that every interval
-# after the first re-solves from the last basis; default tolerances
+# after the first re-solves from the last basis; default tolerances and
+# default pricing.  Devex, which the transport LPs use, moves the chained
+# face norms in their last digits and can move phase 2's non-unique optimum.
 LP_OPTIONS = {"presolve": False}
 
 

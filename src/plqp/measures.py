@@ -548,6 +548,23 @@ def _kernel_reach(cfg: MollifierConfig, h: float) -> tuple[int, float]:
     return half - 1, max(0.0, 1.0 - (half - 1) * h / cfg.width) / (2 * half + 1)
 
 
+def _check_kernel_length(cfg: MollifierConfig, spec: GridSpec) -> None:
+    """InputError for a kernel whose half-length exceeds twice the grid's
+    longest axis, before anything that size is built.
+
+    Such a kernel's largest normalized entry is at most 1 / (half - 1) for a
+    triangle and about 1.6 / half for a gaussian, so an axis of n < half / 2
+    cells keeps at most about 0.8 of any cell's mass, and the truncation
+    check after the convolution would reject it.
+    """
+    half, longest = _kernel_half(cfg, spec.h), max(spec.shape)
+    if half > 2 * longest:
+        raise InputError(
+            f"mollifier support truncated by the grid: the kernel reaches {half:.3g} cells "
+            f"each way, more than twice the grid's longest axis of {longest} cells"
+        )
+
+
 def _convolve_symmetric(x: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
     """Zero-padded convolution with an odd symmetric kernel along one axis:
     k[c] x_i + sum over j = c .. 1 of (x_{i-j} + x_{i+j}) k[c-j], summed
@@ -576,6 +593,7 @@ def mollify(g: GridDensity, cfg: MollifierConfig) -> GridDensity:
     for i, n in zip(heavy, g.spec.shape):
         if len(i) and min(i.min(), n - 1 - i.max()) <= r:
             raise InputError("mollified support hits the boundary ring")
+    _check_kernel_length(cfg, g.spec)
     k = _kernel_1d(cfg, g.spec.h)
     out = g.values
     for axis in range(g.spec.dim):

@@ -20,11 +20,12 @@ the duals of any such staircase are feasible.
 
 Every other pair takes the LP route.  `wq_lp_many` runs it on any pair,
 lines included, as the oracle of the line route.  It solves the transport
-linear program with HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018),
-presolve off, on a restricted edge set grown by a sparse multiscale scheme
-(Schmitzer, JMIV 2016; Oberman & Ruan, arXiv:1509.03668).  Every LP goes
-through the HiGHS adapter `_highs.Model`, built column-wise: each edge
-column holds two ones, in its supply row and its demand row.  Instances of
+linear program with HiGHS's dual simplex (Huangfu & Hall, Math. Prog.
+Comp. 2018), presolve off and Devex pricing (LP_OPTIONS), on a restricted
+edge set grown by a sparse multiscale scheme (Schmitzer, JMIV 2016;
+Oberman & Ruan, arXiv:1509.03668).  Every LP goes through the HiGHS
+adapter `_highs.Model`, built column-wise: each edge column holds two ones,
+in its supply row and its demand row.  Instances of
 at most FULL_EDGE_PAIRS pairs solve the LP on all pairs, and several of
 them share one block-diagonal LP of at most BATCH_EDGES edges, since on LPs
 that small the solver's set-up costs more than the solve.  Larger
@@ -52,9 +53,13 @@ from .measures import DiscreteMeasure
 MARGINAL_TOL = 1e-9
 # relative to max(1, max d^q): bound on negative reduced costs and the gap
 OPTIMALITY_TOL = 1e-9
-# presolve costs more than it saves on dense transport LPs at every size measured
+# presolve costs more than it saves on dense transport LPs at every size
+# measured.  Devex pricing (Harris, Math. Programming 1973) takes about a
+# quarter fewer dual simplex iterations than HiGHS's default dual steepest
+# edge on the 2D fine LPs, each of them cheaper (BENCH_devex_pricing.json).
 LP_OPTIONS = {
     "presolve": False,
+    "simplex_dual_edge_weight_strategy": "devex",
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }

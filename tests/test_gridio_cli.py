@@ -380,6 +380,9 @@ def test_cli_oracle():
     payload = json.loads(r.stdout)
     assert payload["pass"] is True
     assert payload["winf_vs_permutation_max_abs"] <= 1e-9
+    # the line route against the all-pairs LP, under the key that says so
+    assert payload["line_vs_lp_1d_max_abs"] <= 1e-9
+    assert "wq_vs_monotone1d_max_abs" not in payload
 
 
 @pytest.mark.parametrize("instances", ["0", "-3"])

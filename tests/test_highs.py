@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import simplex_constants
 
-from plqp import _highs, transport
-from plqp.measures import DiscreteMeasure
+from plqp import _highs, dynamics, transport
+from plqp.measures import DiscreteMeasure, make_ramp_ball, translate_curve
 from plqp.transport import LP_OPTIONS, wq_lp_many
+
+from helpers import square_grid
 
 
 def test_adapter_names_exist_in_a_fresh_interpreter():
@@ -28,16 +31,18 @@ assert h.kHighsInf == float("inf")
 h.MatrixFormat.kColwise, h.ObjSense.kMinimize, h.HighsStatus.kError
 h.HighsModelStatus.kOptimal, h.HighsModelStatus.kUnbounded
 h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+from plqp import _highs
+for name in _highs.EDGE_WEIGHT_STRATEGIES.values():
+    getattr(h.simplex_constants.SimplexEdgeWeightStrategy, name)
 H = h._Highs()
-for method in ("passModel", "addCols", "run", "setOptionValue", "getModelStatus",
+for method in ("passModel", "addCols", "run", "setOptionValue", "getOptionValue", "getModelStatus",
                "getInfo", "getSolution", "modelStatusToString", "changeColsBounds",
                "changeColsCost", "changeRowBounds", "changeCoeff", "getColEntries"):
     assert callable(getattr(H, method)), method
-for option in ("output_flag", "simplex_strategy", "presolve",
+for option in ("output_flag", "simplex_strategy", "presolve", "simplex_dual_edge_weight_strategy",
                "primal_feasibility_tolerance", "dual_feasibility_tolerance"):
     assert H.getOptionType(option)[0] == h.HighsStatus.kOk, option
 assert hasattr(H.getInfo(), "simplex_iteration_count")
-from plqp import _highs
 assert _highs.INF == h.kHighsInf
 # min x0 + 2 x1 with x0 + x1 = 1, then a cheaper column x2
 model = _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
@@ -137,3 +142,58 @@ def test_add_cols_resolves_from_the_last_basis():
     plan, _, _, _ = transport._solve_lp(Cq.ravel(), all_src, all_dst, wa, wb)
     cold = float(np.dot(plan.flow, Cq[plan.src, plan.dst]))
     assert abs(warm - cold) <= 1e-12 * cold
+
+
+def one_row_model(options):
+    """min x0 + 2 x1 with x0 + x1 = 1, under `options`."""
+    return _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
+                        [1.0], [1.0], options)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("dual_feasibility_tolerence", 1e-10),  # misspelled
+        ("simplex_crash_strategy", 99),  # out of range
+        ("dual_feasibility_tolerance", -1e-10),  # negative
+        ("simplex_strategy", 1.0),  # a float for an integer option
+        ("simplex_dual_edge_weight_strategy", "steep"),  # not a linprog value
+    ],
+)
+def test_adapter_rejects_the_options_highs_rejects(option, value):
+    # HiGHS returns an error status and keeps its default; the adapter raised
+    # nothing and solved under that default before
+    with pytest.raises(ValueError, match=option):
+        one_row_model({"presolve": False, option: value})
+
+
+@pytest.mark.parametrize("value, enum", [
+    ("dantzig", "kSimplexEdgeWeightStrategyDantzig"),
+    ("devex", "kSimplexEdgeWeightStrategyDevex"),
+    ("steepest-devex", "kSimplexEdgeWeightStrategyChoose"),
+    ("steepest", "kSimplexEdgeWeightStrategySteepestEdge"),
+])
+def test_adapter_maps_linprog_edge_weight_strategies(value, enum):
+    model = one_row_model({"presolve": False, "simplex_dual_edge_weight_strategy": value})
+    want = int(getattr(simplex_constants.SimplexEdgeWeightStrategy, enum))
+    assert model._highs.getOptionValue("simplex_dual_edge_weight_strategy")[1] == want
+    assert list(model.run().x) == [1.0, 0.0]
+
+
+def test_devex_pricing_covers_transport_lps_only():
+    # every transport model prices with Devex; the sup-norm phases of
+    # dynamics keep HiGHS's default (-1, chosen by HiGHS)
+    option = "simplex_dual_edge_weight_strategy"
+    devex = int(simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
+    wa = wb = np.full(3, 1 / 3)
+    src, dst = np.nonzero(np.ones((3, 3), dtype=bool))
+    model = transport._model(np.arange(9.0), src, dst, wa, wb)
+    assert model._highs.getOptionValue(option)[1] == devex
+    spec = square_grid(16, 2.0)
+    traj = translate_curve(make_ramp_ball(spec, (0.0, 0.0), 0.5, 0.2, guard=0.05), (0.125, 0.0), [0.0, 1.0])
+    densities = [d.values for d in traj.densities]
+    system = dynamics._FaceSystem(spec, densities)
+    rhs = (densities[0] - densities[1]).ravel()[system.rows]
+    system.sup_norm_momentum(0, rhs, spec.cell_volume)
+    for phase in (system.phase1, system.phase2):
+        assert phase._highs.getOptionValue(option)[1] == -1

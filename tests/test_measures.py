@@ -504,6 +504,7 @@ def test_mollify_early_rejection_keeps_the_outcomes(kernel, monkeypatch):
     cases = [(g, MollifierConfig(w * g.spec.h, kernel)) for g in edge_densities() for w in widths]
     got = [mollify_outcome(g, cfg) for g, cfg in cases]
     monkeypatch.setattr(measures, "_kernel_reach", lambda cfg, h: (-1, 0.0))
+    monkeypatch.setattr(measures, "_check_kernel_length", lambda cfg, spec: None)
     assert got == [mollify_outcome(g, cfg) for g, cfg in cases]
     assert "mollified support hits the boundary ring" in got
     assert any(isinstance(out, bytes) for out in got)
@@ -541,6 +542,41 @@ def test_mollify_wider_than_the_grid_builds_no_kernel(monkeypatch):
         with pytest.raises(InputError, match="mollified support hits the boundary ring"):
             mollify(g, MollifierConfig(2000 * spec.h, kernel))
     assert built == []
+
+
+@pytest.mark.parametrize("dim, kernel", [(1, "triangular"), (2, "gaussian")])
+@pytest.mark.parametrize("width", [1e200, 1e290])
+def test_mollify_huge_finite_width_builds_no_kernel(dim, kernel, width, monkeypatch):
+    # h = 1e-10: the ring check's floor is 0 (a triangle) or floor^2
+    # underflows (2D), and numpy raised "Maximum allowed size exceeded"
+    if dim == 1:
+        g = indicator_interval(line_grid(32, 32e-10), 10e-10, 20e-10)
+    else:
+        g = make_ramp_ball(square_grid(32, 32e-10), (0.0, 0.0), 8e-10, 3e-10, guard=0.05)
+    built = count_kernels(monkeypatch)
+    with pytest.raises(InputError, match="more than twice the grid's longest axis of 32 cells"):
+        mollify(g, MollifierConfig(width, kernel))
+    assert built == []
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "triangular"])
+def test_mollify_length_check_rejects_only_what_the_build_rejects(kernel, monkeypatch):
+    # with the ring check off, the length check is the first to see these
+    # kernels; the reference builds each one and runs every later check
+    monkeypatch.setattr(measures, "_kernel_reach", lambda cfg, h: (-1, 0.0))
+    cells = np.linspace(8.0, 60.0, 27) / (4 if kernel == "gaussian" else 1)
+    cases = [(g, MollifierConfig(w * g.spec.h, kernel)) for g in edge_densities() for w in cells]
+    got = [mollify_outcome(g, cfg) for g, cfg in cases]
+    monkeypatch.setattr(measures, "_check_kernel_length", lambda cfg, spec: None)
+    reference = [mollify_outcome(g, cfg) for g, cfg in cases]
+    checked = 0
+    for out, ref in zip(got, reference):
+        if isinstance(out, str) and "longest axis" in out:
+            checked += 1
+            assert isinstance(ref, str), out
+        else:
+            assert out == ref
+    assert 10 <= checked < len(cases)
 
 
 @pytest.mark.parametrize("kernel", ["gaussian", "triangular"])

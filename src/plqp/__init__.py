@@ -41,7 +41,6 @@ from .bottleneck import (
     BottleneckResult,
     BottleneckStats,
     RadialMeasure,
-    neighborhood_check,
     winf,
     winf_grid,
     winf_many,
@@ -56,7 +55,6 @@ from .mms import (
     RadialFamily,
     ResolventProblem,
     StepPartition,
-    refine_and_compare,
     resolvent,
     run_scheme,
 )

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
-from .transport import Coupling, _assignments, _batches, _check_pairs, _distances, _pairwise_distances
+from .transport import Coupling, _assignments, _batches, _check_pairs, _pairwise_distances
 
 # hard cap on atoms per side, as transport.MAX_DENSE_ATOMS is, and set from
 # its budget of about 5 s and 300 MB peak RSS per solve.  Peak RSS grows with
@@ -328,32 +328,6 @@ def winf_permutation_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     P = _assignments(mu, nu)
     D = _pairwise_distances(mu, nu)
     return float(D[np.arange(len(mu)), P].max(axis=1).min())
-
-
-def neighborhood_check(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    eps: float,
-    probes: list[np.ndarray],
-    tol: float = 1e-12,
-) -> bool:
-    """True iff mu(A) <= nu(A_eps) + tol for every probe set A.
-
-    Probes are finite point sets (unions of support points of mu); A_eps is
-    the closed eps-neighborhood of A.
-    """
-    for probe in probes:
-        pts = np.atleast_2d(np.asarray(probe, dtype=float))
-        # mu(A): match probe points to mu atoms exactly
-        on = np.zeros(len(mu), dtype=bool)
-        for p in pts:
-            on |= np.all(mu.points == p, axis=1)
-        mu_mass = mu.weights[on].sum()
-        d = _distances(nu.points, pts).min(axis=1)
-        nu_mass = nu.weights[d <= eps + tol].sum()
-        if mu_mass > nu_mass + tol:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

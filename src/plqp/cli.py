@@ -315,9 +315,15 @@ def _uniform_pair(rng, m: int) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     return a, b
 
 
+# Largest `plqp oracle --instances`, set from the budget of `MAX_ANCHOR_N`:
+# 50 instances took 0.72 s, 1,000 took 1.85 s and 4,096 took 4.8-5.5 s at
+# 107 MB peak RSS (one core of a 2-vCPU x86_64 VM).
+MAX_ORACLE_INSTANCES = 4_096
+
+
 def cmd_oracle(args) -> dict:
-    if args.instances < 1:
-        raise InputError(f"--instances must be at least 1, got {args.instances}")
+    if not 1 <= args.instances <= MAX_ORACLE_INSTANCES:
+        raise InputError(f"--instances must be in 1..{MAX_ORACLE_INSTANCES}, got {args.instances}")
     # three independently seeded cross-check loops; each draws its instances
     # first and solves them in one batch
     rng = np.random.default_rng(args.seed)

@@ -712,6 +712,9 @@ class TraceReport:
     terminal: np.ndarray  # (N, n) particle ends
     w1_to_target: float
     coarse_bins: int
+    # one bin diagonal: each cloud moves by at most half of it when binned,
+    # so w1_to_target is within this of the W_1 between the unbinned clouds
+    quantization_bound: float
 
 
 def _field_table(spec: GridSpec, pts: np.ndarray) -> list:
@@ -739,7 +742,8 @@ def trace_characteristics(traj: Trajectory, samples: int, coarse_bins: int = 16)
     compare the terminal cloud with the terminal density in W_1.
 
     Particles are drawn from mu_0 by systematic sampling of the cell masses.
-    The W_1 comparison aggregates both clouds to a coarse lattice first.
+    The W_1 comparison aggregates both clouds to a coarse lattice first;
+    particles stay in the grid box, so `quantization_bound` bounds its error.
     """
     if traj.field is None:
         raise InputError("trajectory carries no velocity field")
@@ -766,4 +770,5 @@ def trace_characteristics(traj: Trajectory, samples: int, coarse_bins: int = 16)
     target_atoms = grid_to_atoms(traj.densities[-1])
     target = coarse_measure(target_atoms.points, target_atoms.weights, spec, coarse_bins)
     w1 = wq(cloud, target, 1.0).cost
-    return TraceReport(start, pts, w1, coarse_bins)
+    bound = float(np.linalg.norm(spec.h * np.asarray(spec.shape) / coarse_bins))
+    return TraceReport(start, pts, w1, coarse_bins, bound)

@@ -362,18 +362,6 @@ def make_multiball(
     return normalized_density(spec, raw, guard=guard)
 
 
-def multiball_component_masses(
-    g: GridDensity, centers: list[tuple[float, float]], radii: list[float], w: float
-) -> np.ndarray:
-    """Grid mass inside each inflated component ball (diagnostic)."""
-    pts = g.spec.centers()
-    out = np.zeros(len(centers))
-    for j, (cj, rj) in enumerate(zip(centers, radii)):
-        mask = np.linalg.norm(pts - np.asarray(cj), axis=-1) <= rj + w
-        out[j] = g.values[mask].sum() * g.spec.cell_volume
-    return out
-
-
 def _linear_table(idx: list[np.ndarray], shape: tuple[int, ...]) -> list:
     """Corners of order-1 (multilinear) sampling at fractional cell indices.
 

@@ -699,36 +699,6 @@ def run_scheme(
     )
 
 
-def equal_ratio_probe(
-    anchor: GridDensity,
-    centers,
-    outer_radii,
-    tau: float = 0.1,
-    rings: int = 8,
-    levels: int = 32,
-) -> dict:
-    """Resolvent probe around a multiball anchor whose mass/radius ratios are
-    equal (the candidate stationary configurations).
-
-    Whether these anchors are stationary for the scheme is an open question;
-    the probe reports what the family search found without asserting an
-    expected outcome.
-    """
-    fam = RadialFamily.from_anchor(anchor, centers, outer_radii, rings=rings, levels=levels)
-    prob = ResolventProblem("isop", tau, anchor, fam)
-    out, val, diag = resolvent(prob)
-    return {
-        "tau": tau,
-        "phi_anchor": diag["phi_anchor"],
-        "phi_out": diag["phi_out"],
-        "moreau_out": val,
-        "movement_profile": diag["movement_profile"],
-        "moved": diag["movement_profile"] > 1e-12,
-        "candidates_evaluated": diag["candidates_evaluated"],
-        "note": "family-relative search only; no stationarity claim",
-    }
-
-
 def solution_ledger(sol: DiscreteSolution) -> dict:
     """JSON-ready per-step ledger of a scheme run."""
     steps = []
@@ -750,58 +720,3 @@ def solution_ledger(sol: DiscreteSolution) -> dict:
         "steps": steps,
     }
 
-
-def refine_and_compare(
-    anchor: GridDensity,
-    partitions: list[StepPartition],
-    prob_template: ResolventProblem,
-    coarse_bins: int = 12,
-) -> dict:
-    """Run the scheme along refining partitions and compare the piecewise
-    constant interpolants at shared times.  Diagnostic only: no continuum
-    convergence is asserted."""
-    if len(partitions) < 2:
-        raise InputError("need >= 2 partitions")
-    for a, b in zip(partitions, partitions[1:]):
-        if b.sup_step > 0.6 * a.sup_step:
-            raise InputError("partitions must have (roughly) halving sup_step")
-    sols = [run_scheme(anchor, p, prob_template) for p in partitions]
-    horizon = min(p.horizon for p in partitions)
-    sample_times = np.linspace(0.0, horizon, 9)[1:]
-    n = anchor.spec.dim
-    p_sigma = n / (n - 1) if n > 1 else 1.0
-
-    def state_at(sol: DiscreteSolution, t: float) -> GridDensity:
-        # piecewise constant: x_t = x_j on (t_{j-1}, t_j]
-        times = sol.partition.times()
-        j = int(np.searchsorted(times, t - 1e-12))
-        j = min(max(j, 1), len(sol.states) - 1)
-        return sol.states[j]
-
-    comparisons = []
-    for a, b in zip(sols, sols[1:]):
-        rows = []
-        for t in sample_times:
-            ga, gb = state_at(a, t), state_at(b, t)
-            sigma_dist = lp_norm_diff(ga, gb, p_sigma)
-            w = bottleneck.winf(_coarse(ga, coarse_bins), _coarse(gb, coarse_bins)).value
-            rows.append(
-                {
-                    "t": float(t),
-                    "sigma_distance": sigma_dist,
-                    "dinf_coarse": w + lp_norm_diff(ga, gb, math.inf),
-                }
-            )
-        comparisons.append(
-            {
-                "sup_steps": [a.partition.sup_step, b.partition.sup_step],
-                "rows": rows,
-                "max_sigma_distance": max(r["sigma_distance"] for r in rows),
-            }
-        )
-    return {
-        "anchor_phi": sols[0].phi_values[0],
-        "coarse_bins": coarse_bins,
-        "phi_envelopes": [list(s.phi_values) for s in sols],
-        "comparisons": comparisons,
-    }

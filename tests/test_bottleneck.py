@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from plqp import bottleneck
 from plqp.bottleneck import (
     RadialMeasure,
-    neighborhood_check,
     quantile_gaps,
     quantile_reference,
     winf,
@@ -363,44 +362,6 @@ def test_symmetry_and_triangle():
         c = DiscreteMeasure(rng.uniform(0, 10, (ms[2], 2)), rng.dirichlet(np.ones(ms[2])))
         assert abs(winf(a, b).value - winf(b, a).value) <= TOL
         assert winf(a, c).value <= winf(a, b).value + winf(b, c).value + TOL
-
-
-# ---------------------------------------------------------------------------
-# neighborhood characterization
-# ---------------------------------------------------------------------------
-
-
-def test_neighborhood_large_eps_accepts_everything():
-    rng = np.random.default_rng(105)
-    a, b = uniform_pair(rng, 5)
-    diam = 10 * math.sqrt(2) + 1
-    probes = [a.points, a.points[:2], a.points[3:]]
-    assert neighborhood_check(a, b, diam, probes)
-
-
-def test_neighborhood_zero_eps_disjoint_fails():
-    mu = DiscreteMeasure([[0.0]], [1.0])
-    nu = DiscreteMeasure([[1.0]], [1.0])
-    assert not neighborhood_check(mu, nu, 0.0, [mu.points])
-
-
-def test_neighborhood_falsifies_below_optimum():
-    mu = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    nu = DiscreteMeasure([[0.0], [2.0]], [0.5, 0.5])
-    v = winf(mu, nu).value
-    # at the optimum every probe passes
-    assert neighborhood_check(mu, nu, v, [mu.points, mu.points[:1], mu.points[1:]])
-    # just below it, the full-support probe A = {0, 1} fails: nu(A_eps) = 1/2 < 1
-    assert not neighborhood_check(mu, nu, v - 1e-6, [mu.points])
-
-
-def test_winf_witness_passes_own_neighborhood_check():
-    rng = np.random.default_rng(106)
-    for _ in range(10):
-        a, b = uniform_pair(rng, 4)
-        v = winf(a, b).value
-        probes = [a.points[list(idx)] for idx in [(0,), (1, 2), (0, 1, 2, 3)]]
-        assert neighborhood_check(a, b, v + 1e-12, probes)
 
 
 # ---------------------------------------------------------------------------

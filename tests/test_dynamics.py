@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -21,9 +23,11 @@ from plqp.measures import (
     Trajectory,
     VelocityField,
     dilate_curve,
+    grid_to_atoms,
     make_ramp_ball,
     translate_curve,
 )
+from plqp.transport import wq
 
 from helpers import int_shift, random_blob, square_grid, two_ball_swap
 
@@ -405,6 +409,25 @@ def test_reconstruct_builds_one_model_per_phase(monkeypatch):
     assert len(built) == 2
 
 
+def test_non_optimal_phase_2_falls_back_to_phase_1_momentum(monkeypatch):
+    # when phase 2 does not reach its optimum, the interval keeps phase 1's
+    # momentum: the same face norm, rhs met, every face within t f_e
+    traj = chain("dilate")
+    densities = [d.values for d in traj.densities]
+    system = dynamics._FaceSystem(traj.spec, densities)
+    dt = traj.times[1] - traj.times[0]
+    rhs = ((densities[0] - densities[1]).ravel() / dt)[system.rows]
+    mass_unit = traj.spec.cell_volume * dt
+    _, want = system.sup_norm_momentum(0, rhs, mass_unit)
+    stub = _highs.Solution(False, False, "iteration limit reached", None, None, 0)
+    monkeypatch.setattr(system.phase2, "run", lambda: stub)
+    m, face_norm = system.sup_norm_momentum(0, rhs, mass_unit)
+    assert face_norm == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.linalg.norm(system.D @ m - rhs) <= dynamics._residual_bound(rhs)
+    tol = system.phase1._highs.getOptionValue("primal_feasibility_tolerance")[1]
+    assert np.all(np.abs(m) <= face_norm * system.fface[0] + tol)
+
+
 def test_zero_motion_between_moving_intervals():
     # a pause leaves phase 1 unbounded (no motion) and the next interval's
     # value as it is without the pause
@@ -703,6 +726,19 @@ def test_trace_dilation_scales_radii(M):
     keep = r0 > 3 * spec.h
     ratios = r1[keep] / r0[keep]
     assert np.abs(ratios / M - 1).max() <= 0.05
+
+
+def test_trace_coarse_w1_within_its_quantization_bound():
+    # binning moves each cloud by at most half a bin diagonal, so the coarse
+    # W_1 is within one diagonal of the W_1 between the unbinned clouds
+    spec = square_grid(16, 2.0)
+    g = make_ramp_ball(spec, (-0.2, 0.1), 0.5, 0.2, guard=0.05)
+    traj = translate_curve(g, (0.3, -0.15), [0.0, 0.5, 1.0])
+    rep = trace_characteristics(traj, 150, coarse_bins=8)
+    assert rep.quantization_bound == pytest.approx(math.hypot(0.25, 0.25), rel=1e-15)
+    cloud = DiscreteMeasure(rep.terminal, np.full(len(rep.terminal), 1.0 / len(rep.terminal)))
+    fine = wq(cloud, grid_to_atoms(traj.densities[-1]), 1.0).cost
+    assert abs(rep.w1_to_target - fine) <= rep.quantization_bound
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

@@ -385,9 +385,10 @@ def test_cli_oracle():
     assert "wq_vs_monotone1d_max_abs" not in payload
 
 
-@pytest.mark.parametrize("instances", ["0", "-3"])
+@pytest.mark.parametrize("instances", ["0", "-3", "4097"])
 def test_cli_oracle_needs_an_instance(instances):
-    # a pass on zero instances would be vacuous
+    # a pass on zero instances would be vacuous; past the cap, the instance
+    # lists would grow without bound before anything is solved
     rc, err = run_main("oracle", "--instances", instances)
     assert rc == 2 and "--instances" in err, err
 

@@ -12,7 +12,6 @@ from plqp.mms import (
     RadialFamily,
     ResolventProblem,
     StepPartition,
-    refine_and_compare,
     resolvent,
     run_scheme,
     solution_ledger,
@@ -139,37 +138,6 @@ def test_ledger_json_roundtrip():
     assert json.loads(text)["steps"][0]["tau"] == 0.1
 
 
-def test_refine_requires_two_partitions():
-    ball, prob = ball_setup()
-    with pytest.raises(InputError, match=">= 2"):
-        refine_and_compare(ball, [StepPartition.uniform(0.1, 4)], prob)
-
-
-def test_refine_requires_halving():
-    ball, prob = ball_setup()
-    with pytest.raises(InputError, match="halving"):
-        refine_and_compare(
-            ball,
-            [StepPartition.uniform(0.1, 4), StepPartition.uniform(0.09, 5)],
-            prob,
-        )
-
-
-def test_refine_ball_is_tight():
-    # a near-stationary anchor: interpolants at shared times stay 2h-close
-    ball, prob = ball_setup(tau=0.05)
-    parts = [StepPartition.uniform(0.2, 3), StepPartition.uniform(0.1, 6)]
-    rep = refine_and_compare(ball, parts, prob)
-    h = ball.spec.h
-    for comp in rep["comparisons"]:
-        assert comp["max_sigma_distance"] <= 10 * h  # diagnostic-scale check
-    assert all(
-        a >= b - 1e-12
-        for env in rep["phi_envelopes"]
-        for a, b in zip(env, env[1:])
-    )
-
-
 def test_grid_search_family_descends_on_small_grid():
     spec = square_grid(20, 4.4)
     mb = make_multiball(
@@ -188,22 +156,6 @@ def test_grid_search_size_cap():
     prob = ResolventProblem("isop", 0.1, ball, GridSearchFamily())
     with pytest.raises(InputError, match="4096"):
         resolvent(prob)
-
-
-def test_equal_ratio_probe_reports_without_asserting_outcome():
-    # probes around the candidate stationary configurations: the report may
-    # say "moved" or not (open question); only family-relative minimality is
-    # guaranteed
-    from plqp.mms import equal_ratio_probe
-
-    spec = square_grid(48, 6.0)
-    radii = [0.8, 1.2]
-    R = sum(radii)
-    weights = [r / R for r in radii]
-    mb = make_multiball(spec, [(-1.5, 0.0), (1.3, 0.0)], radii, weights, 0.25)
-    rep = equal_ratio_probe(mb, [(-1.5, 0.0), (1.3, 0.0)], [1.1, 1.5], tau=0.1)
-    assert rep["moreau_out"] <= rep["phi_anchor"] + 1e-12
-    assert "moved" in rep and "note" in rep
 
 
 @pytest.mark.parametrize(

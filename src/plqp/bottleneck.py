@@ -63,11 +63,12 @@ from .transport import Coupling, _assignments, _batches, _check_pairs, _pairwise
 
 # hard cap on atoms per side, as transport.MAX_DENSE_ATOMS is, and set from
 # its budget of about 5 s and 300 MB peak RSS per solve.  Peak RSS grows with
-# m x n, about 46 bytes per atom pair over an 82 MB interpreter.  Measured on
-# ramp-ball pairs (R = 0.5 against 0.5 or 0.6, w = 0.2, grids of extent 2),
-# one core of a 2-vCPU x86_64 VM: 2009 x 2010 atoms in 0.41 s at 267 MB,
-# 1804 x 2604 in 0.52 s at 297 MB, 2472 x 3551 in 3.4 s at 484 MB, 2828 x
-# 4060 in 4.3 s at 608 MB.
+# m x n, over a 62 MB interpreter, by 18 bytes per atom pair on ramp-ball
+# pairs (R = 0.5 against 0.5 or 0.6, w = 0.2, grids of extent 2) and by 61
+# when the threshold graph holds nearly every pair (that ball against itself
+# with one atom moved 10 away).  One core of a 2-vCPU x86_64 VM: 2009 x 2009
+# atoms in 0.12 s at 132 MB, 1804 x 2608 in 0.16 s at 143 MB, 2828 x 4060 in
+# 0.90 s at 259 MB; the moved atom, 1976 x 1976, in 0.39 s at 290 MB.
 MAX_ATOMS = 2_000
 # atom pairs (m x n, summed over instances) per lockstep batch of `winf_many`.
 # Random 2D pairs on one core of a 2-vCPU x86_64 VM, one search per pair ->
@@ -127,11 +128,14 @@ class BottleneckStats:
     thresholds: the thresholds whose feasibility it decided, one max-flow
     step each.  maxflows: the max-flow calls of its lockstep batch, which
     the instance shared with the batch's other `batch - 1` instances.
+    edges: the atom pairs within the returned value, the edges between the
+    two sides of the threshold graph whose flow is the witness.
     """
 
     thresholds: int
     maxflows: int
     batch: int
+    edges: int
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,7 @@ class _Search:
         self.lo, self.hi = int(np.searchsorted(self.values, bound)), len(self.values) - 1
         self.probe, self.stride = self.lo, 1
         self.witness: Coupling | None = None  # the flow of the last feasible step
+        self.edges = 0  # middle edges of that step's threshold graph
         self.thresholds = 0
 
     def _projected(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -221,31 +226,43 @@ def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
     Instance k is feasible iff the flow on its own source edges carries its
     whole total; the flow value sums all instances and is not read (it can
     exceed 2^31).  A feasible instance keeps its block of the flow as its
-    witness.
+    witness, and the number of its middle edges as `edges`.
     """
     from scipy import sparse
 
+    for s in searches:
+        # numpy wraps an int64 assigned into an int32 array without a
+        # warning, and every capacity is at most its instance's total
+        if s.total >= 2**31:
+            raise ValueError(f"bottleneck total {s.total} does not fit the int32 max-flow")
     first = np.cumsum([1] + [len(s.a) + len(s.b) for s in searches])
     sink = int(first[-1])
+    near = [s.D <= e for s, e in zip(searches, eps)]
     # CSR rows in node order: the source, then each instance's first-side
-    # atoms (edges d <= eps) and second-side atoms (one edge to the sink)
-    counts = [[sum(len(s.a) for s in searches)]]
-    indices = [np.arange(f, f + len(s.a)) for s, f in zip(searches, first)]
-    caps = [s.a for s in searches]
-    for s, e, f in zip(searches, eps, first):
+    # atoms (edges d <= eps) and second-side atoms (one edge to the sink),
+    # then the sink, with no edge
+    indptr = np.zeros(sink + 2, np.int32)
+    indptr[1] = sum(len(s.a) for s in searches)
+    for s, f, nr in zip(searches, first, near):
+        m = len(s.a)
+        indptr[f + 1 : f + m + 1] = nr.sum(axis=1)
+        indptr[f + m + 1 : f + m + len(s.b) + 1] = 1
+    np.cumsum(indptr, dtype=np.int32, out=indptr)
+    indices = np.empty(indptr[-1], np.int32)
+    data = np.empty(indptr[-1], np.int32)
+    src = 0  # the next source edge
+    for s, f, nr in zip(searches, first, near):
         m, n = len(s.a), len(s.b)
-        near = s.D <= e
-        rows, cols = np.nonzero(near)
-        counts += [np.bincount(rows, minlength=m), np.ones(n, np.int64)]
-        indices += [f + m + cols, np.full(n, sink)]
-        caps += [np.full(len(cols), s.total), s.b]
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts + [[0]]))])
-    # scale_pair totals are about 1e9, so every capacity fits the int32 backend
-    graph = sparse.csr_matrix(
-        (np.concatenate(caps).astype(np.int32), np.concatenate(indices).astype(np.int32),
-         indptr.astype(np.int32)),
-        shape=(sink + 1, sink + 1),
-    )
+        indices[src : src + m] = np.arange(f, f + m, dtype=np.int32)
+        data[src : src + m] = s.a
+        src += m
+        lo, mid, hi = indptr[f], indptr[f + m], indptr[f + m + n]
+        cols = np.arange(f + m, f + m + n, dtype=np.int32)
+        indices[lo:mid] = np.broadcast_to(cols, nr.shape)[nr]
+        data[lo:mid] = s.total
+        indices[mid:hi] = sink
+        data[mid:hi] = s.b
+    graph = sparse.csr_matrix((data, indices, indptr), shape=(sink + 1, sink + 1))
     flow = maximum_flow(graph, 0, sink).flow
     # mass that left the source (row 0) into each instance's first-side atoms
     end = flow.indptr[1]
@@ -257,6 +274,7 @@ def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
         ok = int(mass) == s.total
         if ok:
             s.witness = _block_plan(flow, int(f), s)
+            s.edges = int(indptr[f + len(s.a)] - indptr[f])
         feasible.append(ok)
     return feasible
 
@@ -306,7 +324,7 @@ def winf_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]]) -> list[Bott
             # the minimal feasible threshold is attained by the witness support
             value = s.witness.max_distance(*pairs[k])
             idx = int(np.searchsorted(s.values, value))
-            stats = BottleneckStats(s.thresholds, calls, len(run))
+            stats = BottleneckStats(s.thresholds, calls, len(run), s.edges)
             out.append(BottleneckResult(value, s.witness, idx, stats))
     return out
 

@@ -102,6 +102,12 @@ MAX_LEVELS = 4_096
 # more bins separate no more of its cells; at 2,048 bins a 16^2 grid-family
 # run (budget 4, 2 steps) took 1.1 s at 98 MB.
 MAX_COARSE_BINS = GRID_SEARCH_CELLS // 2
+# Move budget of one grid-family step: each accepted move starts a new scan,
+# so the cap bounds a step's time; memory does not grow with it.  On a ramp
+# ball (R = 1, w = 0.6, extent 4, tau = 2, 8 bins) with a quantum small enough
+# that every move is taken, 1,024 moves took 2.4 s on 16^2 cells and 6.7 s on
+# 32^2, at 63 MB peak RSS; 4,096 took 8.4 s on 16^2.
+MAX_BUDGET = 1_024
 
 
 @dataclass(frozen=True)
@@ -204,6 +210,8 @@ class GridSearchFamily:
             raise InputError(f"move quantum must be positive, got {self.quantum}")
         if self.budget < 0:
             raise InputError(f"move budget must be >= 0, got {self.budget}")
+        if self.budget > MAX_BUDGET:
+            raise InputError(f"move budget must be at most {MAX_BUDGET}, got {self.budget}")
         if self.coarse_bins < 1:
             raise InputError(f"coarse_bins must be >= 1, got {self.coarse_bins}")
         if self.coarse_bins > MAX_COARSE_BINS:

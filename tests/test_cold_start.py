@@ -1,6 +1,7 @@
 """Which scipy modules a plqp process loads: `import plqp` costs numpy
-alone, each command imports only the scipy solvers it runs, and no plqp
-module uses scipy.ndimage."""
+alone, each command imports only the scipy solvers it runs, an LP loads
+HiGHS's binding without the scipy.optimize package, and no plqp module uses
+scipy.ndimage."""
 
 import json
 import os
@@ -108,8 +109,9 @@ def test_trace_characteristics_loads_no_ndimage():
         "from plqp.measures import dilate_curve\n"
         "trace_characteristics(dilate_curve(g, 1.2, [0.0, 0.5, 1.0], guard=0.05), 200)"
     )
-    # the W_1 comparison solves one transport LP
-    assert "scipy.optimize" in loaded
+    # the W_1 comparison solves one transport LP, on HiGHS's binding alone
+    assert "scipy.optimize._highspy._core" in loaded
+    assert "scipy.optimize" not in loaded
     assert "scipy.ndimage" not in loaded
 
 
@@ -154,7 +156,8 @@ def test_lp_commands_load_no_ndimage(files):
         ["bb", "--steps", "2", str(files / "a.csv"), str(files / "b.csv")],
     )
     assert curve == set()
-    assert "scipy.optimize" in runs[0]
+    assert "scipy.optimize._highspy._core" in runs[0]
+    assert "scipy.optimize" not in runs[0]
     assert "scipy.sparse.linalg" in runs[2]
     assert not any("scipy.ndimage" in mods for mods in runs)
     # alone, the l2 field is one sparse factorization: no LP solver loads

@@ -697,6 +697,13 @@ def test_cli_mms_coarse_bins_above_the_cap_exit_2(fuzz_dir, bins):
     assert_config_cap_exits_2(fuzz_dir, GRID_CONFIG, ("family", "coarse_bins"), bins, message)
 
 
+@pytest.mark.parametrize("budget", [2**63, mms.MAX_BUDGET + 1])
+def test_cli_mms_budget_above_the_cap_exit_2(fuzz_dir, budget):
+    # a huge budget ran scan after scan for as long as moves kept improving
+    message = f"move budget must be at most {mms.MAX_BUDGET}"
+    assert_config_cap_exits_2(fuzz_dir, GRID_CONFIG, ("family", "budget"), budget, message)
+
+
 @pytest.mark.parametrize("n", [2**40, cli.MAX_ANCHOR_N + 1])
 def test_cli_mms_grid_n_above_the_cap_exit_2(fuzz_dir, n):
     # 2^40 raised _ArrayMemoryError building the anchor's cell centers

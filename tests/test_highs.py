@@ -65,6 +65,47 @@ print("ok")
     assert r.stdout.split() == ["ok"]
 
 
+# solves min x0 + 2 x1 with x0 + x1 = 1 through plqp and through linprog, in
+# the order argv[1] names first, then checks that both ran on one module
+IMPORT_ORDER_CHILD = """
+import sys
+
+def plqp_lp():
+    from plqp import _highs
+    model = _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
+                         [1.0], [1.0], {"presolve": False})
+    assert list(model.run().x) == [1.0, 0.0]
+    return model._core
+
+def scipy_lp():
+    from scipy.optimize import linprog
+    res = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+    assert res.status == 0 and list(res.x) == [1.0, 0.0], res
+
+if sys.argv[1] == "plqp":
+    used = plqp_lp()
+    # the adapter alone leaves the scipy.optimize package unloaded
+    assert "scipy.optimize" not in sys.modules
+    scipy_lp()
+else:
+    scipy_lp()
+    used = plqp_lp()
+from plqp import _highs
+from scipy.optimize._highspy import _highs_wrapper
+assert used is sys.modules[_highs.CORE] is _highs_wrapper._h
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["plqp", "scipy"])
+def test_plqp_and_linprog_share_one_highs_module_in_either_order(first):
+    # plqp loads HiGHS's binding from its file; scipy.optimize, imported
+    # before or after, must run on that same module object, not a copy
+    r = subprocess.run([sys.executable, "-c", IMPORT_ORDER_CHILD, first], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["ok"]
+
+
 def random_measure(rng, m, dim=2):
     return DiscreteMeasure(rng.uniform(0, 10, (m, dim)), rng.dirichlet(np.ones(m)))
 

@@ -19,15 +19,14 @@ last basis.
 
 `scipy.optimize._highspy` is private to scipy; pyproject.toml pins the
 scipy range tested with it, and a test checks that every name used here
-exists.  HiGHS loads with the first `Model` (`load_core`), so a process
-that solves no LP never imports it.  It loads alone: `_core` comes from its
-extension file in scipy's `optimize/_highspy/` directory, not through the
-`scipy.optimize` package, which imports much of scipy.  A fresh `plqp dist
---q 2` on 32^2 ramp balls took 0.80 s at 87 MB peak RSS through the package
-and takes 0.30 s at 48 MB (medians of 8 alternated runs, 2-vCPU x86_64 VM).
-A later `import scipy.optimize` reuses this module, and every import
-statement finds it; only the attribute `_core` of scipy's `_highspy`
-package, if that package is imported later, stays unset.
+exists.  HiGHS loads with the first `Model` (`load_extension(CORE)`), so
+a process that solves no LP never imports it.  It loads alone: `_core`
+comes from its extension file in scipy's `optimize/_highspy/` directory,
+not through the `scipy.optimize` package, which imports much of scipy.  A
+fresh `plqp dist --q 2` on 32^2 ramp balls took 0.80 s at 87 MB peak RSS
+through the package and takes 0.30 s at 48 MB (medians of 8 alternated
+runs, 2-vCPU x86_64 VM).  A later `import scipy.optimize` reuses this
+module.
 """
 
 from __future__ import annotations
@@ -56,28 +55,38 @@ EDGE_WEIGHT_STRATEGIES = {
 CORE = "scipy.optimize._highspy._core"
 
 
-def load_core():
-    """HiGHS's binding, `scipy.optimize._highspy._core`, loaded from its
-    file on the first call without importing the `scipy.optimize` package.
+def load_extension(name: str):
+    """The scipy extension module `name` (a dotted name), loaded from its
+    file on the first call without importing the packages above it.
+
+    Two load this way: HiGHS's binding `scipy.optimize._highspy._core`
+    (`Model`) and the max-flow `scipy.sparse.csgraph._flow`
+    (`bottleneck.maximum_flow`).  Neither needs its package's `__init__`,
+    which for `scipy.optimize` imports much of scipy, and for
+    `scipy.sparse.csgraph` imports `scipy.sparse.linalg` and `scipy.linalg`.
+    `_flow` still imports `scipy.sparse` itself.
 
     The module goes into `sys.modules` before it runs, so any later import
     of it, scipy's own included, gets this object and not a second module
-    holding the same types.
+    holding the same types; a copy the process already holds is returned
+    as it is.  Only the attribute naming it on its package, if that package
+    is imported later, stays unset.
     """
-    core = sys.modules.get(CORE)
-    if core is None:
-        pkg = Path(importlib.util.find_spec("scipy.optimize").submodule_search_locations[0], "_highspy")
-        path = next((p for p in (pkg / f"_core{s}" for s in EXTENSION_SUFFIXES) if p.is_file()), None)
+    module = sys.modules.get(name)
+    if module is None:
+        top, *packages, leaf = name.split(".")
+        where = Path(importlib.util.find_spec(top).submodule_search_locations[0], *packages)
+        path = next((p for p in (where / f"{leaf}{s}" for s in EXTENSION_SUFFIXES) if p.is_file()), None)
         if path is None:
-            raise ImportError(f"no HiGHS binding _core in {pkg}")
-        spec = importlib.util.spec_from_file_location(CORE, path)
-        core = sys.modules[CORE] = importlib.util.module_from_spec(spec)
+            raise ImportError(f"no extension module {leaf} in {where}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
         try:
-            spec.loader.exec_module(core)
+            spec.loader.exec_module(module)
         except BaseException:
-            del sys.modules[CORE]
+            del sys.modules[name]
             raise
-    return core
+    return module
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ class Model:
     """
 
     def __init__(self, cost, col_lower, col_upper, start, index, value, row_lower, row_upper, options):
-        self._core = _core = load_core()
+        self._core = _core = load_extension(CORE)
         self._highs = h = _core._Highs()
         h.setOptionValue("output_flag", False)
         h.setOptionValue("simplex_strategy", int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual))

@@ -8,7 +8,8 @@ neighborhood characterization
 exactly on finite supports: the returned value is always one of the pairwise
 distances and comes with a feasible witness plan attaining it.
 
-The search starts at the larger of two lower bounds.  The nearest-neighbour
+The search runs between a lower and an upper bound, both on the integer
+instance.  The lower bound is the larger of two.  The nearest-neighbour
 bound is the largest distance from any atom of either side to its nearest
 atom of the other side: a single atom with no partner within a smaller eps
 violates the condition above (every weight is positive, and so is every
@@ -17,23 +18,37 @@ bottleneck distance between the projections of the two integer-weighted
 measures onto one axis, which the monotone coupling attains on the line
 (Champion, De Pascale & Juutinen, SIAM J. Math. Anal. 2008): a plan within
 a smaller eps would project to a coupling of the projections that beats it.
-On the line it is the optimum, so the first max-flow decides.  From the
-larger bound L the search gallops, testing L and the thresholds 1, 3, 7, ...
-places above it, up to the diameter, then bisects between its last
-infeasible and its first feasible threshold.
+
+The upper bound comes from the same monotone couplings, one per axis.  Each
+pairs the atoms in the order of their coordinates on that axis, which makes
+it a feasible plan of the integer weights with exact marginals; the least
+of their largest distances is a feasible threshold.  When it meets the
+lower bound the instance is decided: the coupling is the witness and no
+max-flow runs.  That is every pair on the line, where the projected bound
+is the optimum, and pairs such as whole-cell translates of one grid.
+Otherwise the search gallops from the lower bound's index L, testing L and
+the thresholds 1, 3, 7, ... places above it while they stay below the
+coupling's, then bisects between its last infeasible and its first
+feasible threshold.  It never tests a threshold that the coupling already
+proves feasible, and the coupling stays the witness until a max-flow proves
+a smaller threshold feasible.
 
 `winf_many` searches many instances in lockstep, and `winf` is a batch of
-one.  Each step runs one max-flow on the disjoint union of every unfinished
-instance's threshold graph, each instance at its own next threshold, all
-sharing the source and the sink.  An instance is feasible at its threshold
-iff the flow on its own source edges carries its whole total; the union's
-flow value is never read, since it sums the instances and can exceed 2^31.
-Blocks share no edge, so each instance is decided exactly as when it runs
-alone and sees the same thresholds; its witness is its block's flow at its
-last feasible step, which is its optimal threshold.
+one.  Each step runs one max-flow on the disjoint union of the threshold
+graphs of the unfinished instances that no coupling decided, each instance
+at its own next threshold, all sharing the source and the sink.  An
+instance is feasible at its threshold iff the flow on its own source edges
+carries its whole total; the union's flow value is never read, since it
+sums the instances and can exceed 2^31.  Blocks share no edge, so each
+instance is decided exactly as when it runs alone and sees the same
+thresholds; its witness is its block's flow at its last feasible step,
+which is its optimal threshold, or its coupling if no step was feasible.
+The max-flow is scipy's, loaded from its extension module alone
+(`_highs.load_extension`).
 
 Weights are scaled to integers with totals of 1e9 by `scale_pair` (the
-32-bit max-flow backend wraps above 2^31).  The capacities then differ from
+32-bit max-flow backend wraps above 2^31, and a search refuses a total that
+does not fit, whichever route decides it).  The capacities then differ from
 the float weights by the amounts it bounds: rounding, sub-unit weights
 raised to one unit, and the units that reconcile the two totals.
 That mass grows with the atom count (4.4e-7 on 1248-atom mollified ramp
@@ -57,18 +72,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._highs import load_extension
 from .errors import InputError
 from .measures import DiscreteMeasure, GridDensity, grid_to_atoms
 from .transport import Coupling, _assignments, _batches, _check_pairs, _pairwise_distances
 
 # hard cap on atoms per side, as transport.MAX_DENSE_ATOMS is, and set from
 # its budget of about 5 s and 300 MB peak RSS per solve.  Peak RSS grows with
-# m x n, over a 62 MB interpreter, by 18 bytes per atom pair on ramp-ball
-# pairs (R = 0.5 against 0.5 or 0.6, w = 0.2, grids of extent 2) and by 61
-# when the threshold graph holds nearly every pair (that ball against itself
-# with one atom moved 10 away).  One core of a 2-vCPU x86_64 VM: 2009 x 2009
-# atoms in 0.12 s at 132 MB, 1804 x 2608 in 0.16 s at 143 MB, 2828 x 4060 in
-# 0.90 s at 259 MB; the moved atom, 1976 x 1976, in 0.39 s at 290 MB.
+# m x n, over a 52 MB interpreter that has run one max-flow, by 17 bytes per
+# atom pair on ramp-ball pairs (R = 0.5 against 0.5 or 0.6, w = 0.2, grids
+# of extent 2) and by 58 when the threshold graph holds nearly every pair
+# (that ball against itself with one atom moved 10 away).  One core of a
+# 2-vCPU x86_64 VM: 2009 x 1995 atoms (centers 0.076 apart, six max-flows)
+# in 1.0 s at 121 MB, the same ball moved by whole cells (no max-flow) in
+# 0.10 s at 121 MB, 1804 x 2608 in 0.18 s at 133 MB, 2828 x 4060 in 0.80 s
+# at 249 MB; the moved atom, 1976 x 1976, in 0.40 s at 279 MB.
 MAX_ATOMS = 2_000
 # atom pairs (m x n, summed over instances) per lockstep batch of `winf_many`.
 # Random 2D pairs on one core of a 2-vCPU x86_64 VM, one search per pair ->
@@ -77,6 +95,8 @@ MAX_ATOMS = 2_000
 LOCKSTEP_PAIRS = 160_000
 # `scale_pair` scales each side's weights to integers totalling about this
 FLOW32_SCALE = 10**9
+# scipy's max-flow, loaded alone by `maximum_flow`
+FLOW = "scipy.sparse.csgraph._flow"
 
 
 def scale_pair(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -125,17 +145,21 @@ def instance_key(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[bytes, ...]:
 class BottleneckStats:
     """What one `winf` search did.
 
-    thresholds: the thresholds whose feasibility it decided, one max-flow
-    step each.  maxflows: the max-flow calls of its lockstep batch, which
-    the instance shared with the batch's other `batch - 1` instances.
-    edges: the atom pairs within the returned value, the edges between the
-    two sides of the threshold graph whose flow is the witness.
+    route: "coupling" when a monotone coupling met the lower bound, so that
+    no max-flow ran, else "maxflow".  thresholds: the thresholds whose
+    feasibility it decided, one max-flow step each (0 on the coupling
+    route).  maxflows: the max-flow calls of its lockstep batch, which the
+    instance shared with the other instances of the batch that took the
+    max-flow route (0 on the coupling route).  batch: the instances packed
+    with it into one batch, either route.  edges: the atom pairs within the
+    returned value.
     """
 
     thresholds: int
     maxflows: int
     batch: int
     edges: int
+    route: str
 
 
 @dataclass(frozen=True)
@@ -151,72 +175,95 @@ class BottleneckResult:
 class _Search:
     """Search state of one instance over its sorted distinct distances.
 
-    Every threshold index below `lo` is infeasible; `hi` is the last index
-    found feasible, or the diameter's while none is.  `probe` is the next
-    index to test.  The search gallops from the nearest-neighbour bound
-    while `stride` is positive and bisects [lo, hi] once a step is feasible.
+    Every threshold index below `lo` is infeasible; `hi` is the least
+    index known feasible, first from the best axis coupling and then from
+    the max-flows, and `witness` is a plan within it.  The instance is
+    decided once `lo == hi`.  `probe` is the next index to test.  The search
+    gallops from the lower bound while `stride` is positive and bisects
+    [lo, hi] once a step is feasible or the next gallop would reach `hi`.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
         self.D = _pairwise_distances(mu, nu)
         self.a, self.b, self.total = scale_pair(mu.weights, nu.weights)
+        # numpy wraps an int64 assigned into the int32 graph of `_union_flow`
+        # without a warning, and every capacity is at most the total
+        if self.total >= 2**31:
+            raise ValueError(f"bottleneck total {self.total} does not fit the int32 max-flow")
         self.values = np.unique(self.D)
         # below the nearest-neighbour bound some single atom has no partner
         # within eps: a Hall violator for the float and the integer weights;
         # below the projected bound no plan of the integer weights is feasible
-        bound = max(self.D.min(axis=1).max(), self.D.min(axis=0).max(), self._projected(mu, nu))
-        self.lo, self.hi = int(np.searchsorted(self.values, bound)), len(self.values) - 1
+        projected, cap, self.witness = self._projected(mu, nu)
+        bound = max(self.D.min(axis=1).max(), self.D.min(axis=0).max(), projected)
+        self.lo = int(np.searchsorted(self.values, bound))
+        self.hi = int(np.searchsorted(self.values, cap))
         self.probe, self.stride = self.lo, 1
-        self.witness: Coupling | None = None  # the flow of the last feasible step
-        self.edges = 0  # middle edges of that step's threshold graph
         self.thresholds = 0
 
-    def _projected(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        """The largest, over the axes, of the bottleneck distance between the
-        projections of the integer-weighted measures onto one axis.
+    def _projected(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float, float, Coupling]:
+        """The projected bound, and the best axis coupling with its largest
+        distance: (bound, cost, plan).
 
-        A gap t on one axis is taken as `_distances` rounds it, sqrt(fl(t *
-        t)): that is at most every distance with that coordinate difference,
-        and nondecreasing in t.  So a plan feasible at a threshold projects
-        to a coupling of the projections whose gaps all lie within it, and
-        the monotone coupling of `quantile_gaps` minimizes the largest gap
-        on the line.  The weights are the `scale_pair` integers, whose
-        cumulative sums are exact in float, so the mass rule drops only
-        empty segments and the bound holds for the scaled problem that the
-        max-flow decides; the float weights can put it above that optimum.
+        The bound is the largest, over the axes, of the bottleneck distance
+        between the projections of the integer-weighted measures onto one
+        axis.  A gap t on one axis is taken as `_distances` rounds it,
+        sqrt(fl(t * t)): that is at most every distance with that coordinate
+        difference, and nondecreasing in t.  So a plan feasible at a
+        threshold projects to a coupling of the projections whose gaps all
+        lie within it, and the monotone coupling of `quantile_gaps`
+        minimizes the largest gap on the line.  The weights are the
+        `scale_pair` integers, whose cumulative sums are exact in float, so
+        the mass rule drops only empty segments and the bound holds for the
+        scaled problem that the max-flow decides; the float weights can put
+        it above that optimum.
+
+        The same coupling, read in the atoms' own order, is a plan of the
+        integer weights: each segment moves a whole number of units, and the
+        segments of one atom add up to its capacity exactly.  `cost` is its
+        largest distance as `D` holds it, and the plan is the one of least
+        cost over the axes (the first on ties), with its entries sorted by
+        source and then target and its masses divided by the total, as a
+        max-flow witness is.
         """
-        bound = 0.0
+        bound, best = 0.0, None
         for x, y in zip(mu.points.T, nu.points.T):
             xs, ys = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
             ref = quantile_reference(y[ys], self.b[ys].astype(float))
-            t = quantile_gaps(x[xs], self.a[xs].astype(float), *ref)[1].max()
+            mass, gap, ia, ib = (v[0] for v in quantile_gaps(x[xs], self.a[xs].astype(float), *ref))
+            t = gap.max()
             bound = max(bound, np.sqrt(t * t))
-        return bound
+            keep = mass > 0
+            src, dst = xs[ia[keep]], ys[ib[keep]].astype(np.int32)
+            cost = self.D[src, dst].max()
+            if best is None or cost < best[0]:
+                best = (cost, src, dst, mass[keep])
+        cost, src, dst, mass = best
+        order = np.lexsort((dst, src))
+        plan = Coupling(src[order], dst[order], mass[order] / float(self.total), len(self.a), len(self.b))
+        return bound, cost, plan
 
     def advance(self, feasible: bool) -> bool:
         """Record the step at `probe` and choose the next; False once the
         search has ended at `hi`."""
         if feasible:
             self.hi, self.stride = self.probe, 0
-        elif self.probe == len(self.values) - 1:
-            raise InputError("bottleneck instance infeasible at the diameter")
         else:
             self.lo = self.probe + 1
-        if self.stride:
+        if self.stride and self.probe + self.stride < self.hi:
             # galloping: from the bound's index L the probes are L, L + 1,
-            # L + 3, L + 7, ... up to the diameter's
-            self.probe = min(self.probe + self.stride, self.hi)
+            # L + 3, L + 7, ... below the least index known feasible
+            self.probe += self.stride
             self.stride *= 2
-            return True
-        self.probe = (self.lo + self.hi) // 2
+        else:
+            self.probe, self.stride = (self.lo + self.hi) // 2, 0
         return self.lo < self.hi
 
 
 def maximum_flow(graph, source: int, sink: int):
-    """`scipy.sparse.csgraph.maximum_flow`, imported on the first call."""
-    from scipy.sparse import csgraph
-
-    return csgraph.maximum_flow(graph, source, sink)
+    """`scipy.sparse.csgraph.maximum_flow`, from the extension module FLOW
+    loaded alone on the first call."""
+    return load_extension(FLOW).maximum_flow(graph, source, sink)
 
 
 def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
@@ -226,15 +273,10 @@ def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
     Instance k is feasible iff the flow on its own source edges carries its
     whole total; the flow value sums all instances and is not read (it can
     exceed 2^31).  A feasible instance keeps its block of the flow as its
-    witness, and the number of its middle edges as `edges`.
+    witness.  Every total fits int32, as `_Search` checks.
     """
     from scipy import sparse
 
-    for s in searches:
-        # numpy wraps an int64 assigned into an int32 array without a
-        # warning, and every capacity is at most its instance's total
-        if s.total >= 2**31:
-            raise ValueError(f"bottleneck total {s.total} does not fit the int32 max-flow")
     first = np.cumsum([1] + [len(s.a) + len(s.b) for s in searches])
     sink = int(first[-1])
     near = [s.D <= e for s, e in zip(searches, eps)]
@@ -274,7 +316,6 @@ def _union_flow(searches: list[_Search], eps: list[float]) -> list[bool]:
         ok = int(mass) == s.total
         if ok:
             s.witness = _block_plan(flow, int(f), s)
-            s.edges = int(indptr[f + len(s.a)] - indptr[f])
         feasible.append(ok)
     return feasible
 
@@ -292,13 +333,13 @@ def _block_plan(flow, f: int, s: _Search) -> Coupling:
 
 
 def _lockstep(searches: list[_Search]) -> int:
-    """Run every instance's search in lockstep: one union max-flow per step,
-    each instance at its own probe, galloping up from its nearest-neighbour
-    bound and then bisecting.  Each instance's last feasible step is at its
-    optimal threshold, so its witness attains it.  Returns the number of
-    max-flow calls."""
+    """Run the search of every instance that its coupling did not decide in
+    lockstep: one union max-flow per step, each instance at its own probe,
+    galloping up from its lower bound and then bisecting.  Each instance
+    ends at its optimal threshold, which its witness attains.  Returns the
+    number of max-flow calls."""
     calls = 0
-    pending = list(searches)
+    pending = [s for s in searches if s.lo < s.hi]
     while pending:
         feasible = _union_flow(pending, [s.values[s.probe] for s in pending])
         calls += 1
@@ -324,7 +365,9 @@ def winf_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]]) -> list[Bott
             # the minimal feasible threshold is attained by the witness support
             value = s.witness.max_distance(*pairs[k])
             idx = int(np.searchsorted(s.values, value))
-            stats = BottleneckStats(s.thresholds, calls, len(run), s.edges)
+            edges = int(np.count_nonzero(s.D <= value))
+            route = "maxflow" if s.thresholds else "coupling"
+            stats = BottleneckStats(s.thresholds, calls if s.thresholds else 0, len(run), edges, route)
             out.append(BottleneckResult(value, s.witness, idx, stats))
     return out
 

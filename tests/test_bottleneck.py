@@ -62,7 +62,9 @@ def test_mass_splitting_sequence(j):
     res = winf(mu, nu)
     assert res.value == pytest.approx(1.0, abs=TOL)
     # the optimum is the diameter, which is also the nearest-neighbour bound
-    assert res.threshold_index == 1 and res.stats.thresholds == 1
+    # and the largest distance of the monotone coupling: no max-flow runs
+    assert res.threshold_index == 1 and res.stats.route == "coupling"
+    assert res.stats.thresholds == res.stats.maxflows == 0
     assert wq(mu, nu, 1.0).cost == pytest.approx(1.0 / j, abs=TOL)
 
 
@@ -187,9 +189,14 @@ def test_winf_many_matches_singleton_winf():
         assert res.witness_plan.check_marginals(a, b, tol=2e-9) <= 2e-9
         assert one.stats.batch == 1 and one.stats.maxflows == one.stats.thresholds
         assert res.stats.thresholds == one.stats.thresholds
+        assert res.stats.route == one.stats.route
         assert res.stats.batch == len(pairs)
-    # lockstep: the batch ran as many max-flows as its longest search
-    assert many[0].stats.maxflows == max(r.stats.thresholds for r in many)
+    # lockstep: the instances that took the max-flow route shared as many
+    # max-flows as the longest search; the others joined none
+    routes = {r.stats.route for r in many}
+    assert routes == {"coupling", "maxflow"}
+    longest = max(r.stats.thresholds for r in many)
+    assert all(r.stats.maxflows == (longest if r.stats.route == "maxflow" else 0) for r in many)
 
 
 def full_range_bisection(mu, nu):
@@ -197,6 +204,7 @@ def full_range_bisection(mu, nu):
     0, one `_union_flow` per step.  Returns the optimal threshold index and
     the flow of the last feasible step."""
     s = bottleneck._Search(mu, nu)
+    s.witness = None  # not the coupling: only a flow
     lo, hi = 0, len(s.values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -207,6 +215,38 @@ def full_range_bisection(mu, nu):
     if s.witness is None:
         assert bottleneck._union_flow([s], [s.values[hi]])[0]
     return hi, s.witness
+
+
+def integer_units(plan, total):
+    """The plan's masses in `scale_pair` units, checked to be whole."""
+    units = np.rint(plan.flow * total).astype(np.int64)
+    assert np.array_equal(units / float(total), plan.flow)
+    return units
+
+
+def check_witness(mu, nu, res, flow):
+    """The witness of `res` against the reference search's `flow`.
+
+    The search ends on its coupling exactly when the optimum is the index
+    of its coupling (no max-flow tests that index).  Then the witness is
+    that coupling: its masses are whole `scale_pair` units with the integer
+    capacities as marginals, and its largest distance is the value.
+    Otherwise it is the flow of the max-flow at the optimum, byte for byte.
+    """
+    s = bottleneck._Search(mu, nu)
+    want = s.witness if s.hi == res.threshold_index else flow
+    for got, exp in zip(
+        (res.witness_plan.src, res.witness_plan.dst, res.witness_plan.flow),
+        (want.src, want.dst, want.flow),
+    ):
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+    if want is s.witness:
+        units = integer_units(res.witness_plan, s.total)
+        plan = res.witness_plan
+        assert np.array_equal(np.bincount(plan.src, units, len(mu)), s.a)
+        assert np.array_equal(np.bincount(plan.dst, units, len(nu)), s.b)
+        assert plan.max_distance(mu, nu) == res.value
+    return want is s.witness
 
 
 # atoms on a coarse integer lattice (many tied distances) with weights 1..50
@@ -231,11 +271,7 @@ def test_search_matches_full_range_bisection(a, b, coincident):
     idx, witness = full_range_bisection(mu, nu)
     assert res.threshold_index == idx
     assert res.value == np.unique(bottleneck._pairwise_distances(mu, nu))[idx]
-    for got, want in zip(
-        (res.witness_plan.src, res.witness_plan.dst, res.witness_plan.flow),
-        (witness.src, witness.dst, witness.flow),
-    ):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    check_witness(mu, nu, res, witness)
 
 
 def test_search_decides_at_the_bound_in_one_step():
@@ -246,10 +282,11 @@ def test_search_decides_at_the_bound_in_one_step():
     b = translate_curve(a, (2 * spec.h, 0.0), [0.0, 1.0]).densities[-1]
     res = winf_grid(a, b)
     assert res.value == pytest.approx(2 * spec.h, rel=1e-12)
-    assert res.stats.thresholds == 1
-    # the rectangle split: one 576 x 576 max-flow
+    # the monotone coupling along x meets the bound: no max-flow
+    assert res.stats.route == "coupling" and res.stats.thresholds == res.stats.maxflows == 0
+    # the rectangle split, 576 x 576 atoms, likewise
     res = winf_grid(*rectangle_split_instance(12))
-    assert res.stats.thresholds == 1
+    assert res.stats.route == "coupling" and res.stats.thresholds == res.stats.maxflows == 0
 
 
 def lattice_side(dim):
@@ -272,23 +309,61 @@ def test_search_matches_full_range_bisection_in_1d_and_3d(sides):
     idx, witness = full_range_bisection(mu, nu)
     assert res.threshold_index == idx
     assert res.value == np.unique(bottleneck._pairwise_distances(mu, nu))[idx]
-    for got, want in zip(
-        (res.witness_plan.src, res.witness_plan.dst, res.witness_plan.flow),
-        (witness.src, witness.dst, witness.flow),
-    ):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    check_witness(mu, nu, res, witness)
+
+
+def whole_cell_translate(cells, shift):
+    """Equal weights on distinct lattice cells, and the same cells moved by
+    a whole number of cells."""
+    pts = np.array(cells, dtype=float)
+    w = np.full(len(pts), 1.0 / len(pts))
+    return DiscreteMeasure(pts, w), DiscreteMeasure(pts + np.array(shift, dtype=float), w)
+
+
+def random_pair(seed):
+    rng = np.random.default_rng(seed)
+    dim, m, n = int(rng.integers(1, 4)), int(rng.integers(1, 11)), int(rng.integers(1, 11))
+    return (DiscreteMeasure(rng.uniform(0, 10, (m, dim)), rng.dirichlet(np.ones(m))),
+            DiscreteMeasure(rng.uniform(0, 10, (n, dim)), rng.dirichlet(np.ones(n))))
+
+
+PAIRS = st.one_of(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(lattice_side(d), lattice_side(d))).map(
+        lambda sides: tuple(lattice_cloud(side) for side in sides)),
+    st.builds(whole_cell_translate,
+              st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12, unique=True),
+              st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+    st.builds(random_pair, st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(PAIRS)
+def test_coupling_route_matches_full_range_bisection(pair):
+    # the coupling route decides what the max-flow bisection decides, and
+    # its witness is a plan of the integer capacities that attains the value
+    mu, nu = pair
+    res = winf(mu, nu)
+    idx, witness = full_range_bisection(mu, nu)
+    assert res.threshold_index == idx
+    assert res.value == np.unique(bottleneck._pairwise_distances(mu, nu))[idx]
+    on_coupling = check_witness(mu, nu, res, witness)
+    if res.stats.route == "coupling":
+        assert on_coupling and res.stats.thresholds == res.stats.maxflows == 0
+    if mu.dim == 1:
+        assert res.stats.route == "coupling"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(lattice_side(d), lattice_side(d))))
 def test_projected_bound_is_below_winf_and_exact_on_the_line(sides):
     mu, nu = (lattice_cloud(side) for side in sides)
-    bound = bottleneck._Search(mu, nu)._projected(mu, nu)
+    bound = bottleneck._Search(mu, nu)._projected(mu, nu)[0]
     res = winf(mu, nu)
     assert bound <= res.value
     if mu.dim == 1:
         # the monotone coupling of the integer weights is optimal on the line
-        assert bound == res.value and res.stats.thresholds == 1
+        assert bound == res.value and res.stats.route == "coupling" and res.stats.thresholds == 0
 
 
 def test_projected_bound_reads_the_scaled_weights():
@@ -296,30 +371,32 @@ def test_projected_bound_reads_the_scaled_weights():
     # 0; the float weights' monotone coupling would move 1e-12 by 10
     mu = DiscreteMeasure([[0.0], [10.0]], [0.5 + 1e-12, 0.5 - 1e-12])
     nu = DiscreteMeasure([[0.0], [10.0]], [0.5, 0.5])
-    assert bottleneck._Search(mu, nu)._projected(mu, nu) == 0.0
+    assert bottleneck._Search(mu, nu)._projected(mu, nu)[0] == 0.0
     res = winf(mu, nu)
-    assert res.value == 0.0 and res.stats.thresholds == 1
+    assert res.value == 0.0 and res.stats.route == "coupling" and res.stats.thresholds == 0
 
 
 def test_projected_bound_rounds_as_the_distances_do():
     # a gap of 1e-170 squares to 0, so its distance is 0: the bound must be
     # the gap as the distances round it, not the gap itself
     mu, nu = DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[1e-170]], [1.0])
-    assert bottleneck._Search(mu, nu)._projected(mu, nu) == 0.0
+    assert bottleneck._Search(mu, nu)._projected(mu, nu)[0] == 0.0
     assert winf(mu, nu).value == winf_permutation_oracle(mu, nu) == 0.0
 
 
-def test_line_pairs_decide_in_one_max_flow():
+def test_line_pairs_decide_without_a_max_flow(monkeypatch):
     rng = np.random.default_rng(108)
     pairs = []
     for _ in range(40):
         m, n = rng.integers(1, 60, 2)
         pairs.append((DiscreteMeasure(rng.uniform(0, 10, (m, 1)), rng.dirichlet(np.ones(m))),
                       DiscreteMeasure(rng.normal(5, 3, (n, 1)), rng.dirichlet(np.ones(n)))))
-    many = winf_many(pairs)
-    assert many[0].stats.maxflows == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(bottleneck, "maximum_flow", None)  # any call fails
+        many = winf_many(pairs)
     for res, (mu, nu) in zip(many, pairs):
-        assert res.stats.thresholds == 1
+        assert res.stats.route == "coupling"
+        assert res.stats.thresholds == res.stats.maxflows == 0
         assert res.value == winf(mu, nu).value
 
 
@@ -413,20 +490,38 @@ def test_totals_past_int32_are_refused(monkeypatch):
         winf(mu, nu)
 
 
-def test_rectangle_split_memory_per_atom_pair():
-    # the peak of traced allocations above the start, per atom pair, on one
-    # 576 x 576 max-flow over 200,076 of its 331,776 pairs: 38.3 bytes
-    # measured, plus about 10%; a graph built by concatenation took 57.6
-    mu, nu = (grid_to_atoms(g) for g in rectangle_split_instance(12))
-    winf(mu, nu)  # scipy's imports
+def traced_peak_per_atom_pair(mu, nu):
+    """The peak of traced allocations above the start of one `winf`, per
+    atom pair, and its result; a first call makes scipy's imports."""
+    winf(mu, nu)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        winf(mu, nu)
+        res = winf(mu, nu)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak / (len(mu) * len(nu)) < 42.0
+    return peak / (len(mu) * len(nu)), res
+
+
+def rotated(m, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return DiscreteMeasure(m.points @ np.array([[c, s], [-s, c]]), m.weights)
+
+
+def test_rectangle_split_memory_per_atom_pair():
+    mu, nu = (grid_to_atoms(g) for g in rectangle_split_instance(12))
+    # turned by one radian, no axis coupling meets the bound: one 576 x 576
+    # max-flow over 200,076 of its 331,776 pairs, 38.3 bytes measured, plus
+    # about 10%; a graph built by concatenation took 57.6
+    per_pair, res = traced_peak_per_atom_pair(rotated(mu, 1.0), rotated(nu, 1.0))
+    assert res.stats.route == "maxflow" and res.stats.edges == 200_076
+    assert per_pair < 42.0
+    # as given, the coupling along x decides it: 18.0 bytes measured, the
+    # distances and their sorted copy, plus about 10%
+    per_pair, res = traced_peak_per_atom_pair(mu, nu)
+    assert res.stats.route == "coupling"
+    assert per_pair < 20.0
 
 
 def test_winf_dominates_finite_q():

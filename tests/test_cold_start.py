@@ -79,8 +79,9 @@ def loaded_by(code):
 def files(tmp_path_factory):
     base = tmp_path_factory.mktemp("cold")
     spec = square_grid(16, 3.0)
-    for name, center in (("a", (0.0, 0.0)), ("b", (0.375, 0.0))):
-        gridio.write_grid(make_ramp_ball(spec, center, 0.9, 0.5, guard=0.05), base / f"{name}.csv")
+    # b is a moved by two whole cells; c is a ball of another radius
+    for name, center, R in (("a", (0.0, 0.0), 0.9), ("b", (0.375, 0.0), 0.9), ("c", (0.0, 0.0), 0.6)):
+        gridio.write_grid(make_ramp_ball(spec, center, R, 0.5, guard=0.05), base / f"{name}.csv")
     (base / "radial.json").write_text(json.dumps(RADIAL_CONFIG))
     return base
 
@@ -140,9 +141,16 @@ def test_only_transport_builds_pairwise_distances():
 
 
 def test_bottleneck_distance_loads_csgraph_only(files):
+    # a pair that needs a max-flow loads scipy's max-flow extension alone,
+    # not the csgraph package, whose __init__ imports the linear algebra
+    _, dist = loaded_after(["dist", "--q", "inf", str(files / "a.csv"), str(files / "c.csv")])
+    assert "scipy.sparse.csgraph._flow" in dist
+    for package in ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg", "scipy.optimize",
+                    "scipy.ndimage"):
+        assert package not in dist
+    # a whole-cell translate is decided by its monotone coupling: no scipy
     _, dist = loaded_after(["dist", "--q", "inf", str(files / "a.csv"), str(files / "b.csv")])
-    assert "scipy.sparse.csgraph" in dist
-    assert "scipy.optimize" not in dist and "scipy.ndimage" not in dist
+    assert not any(m.startswith("scipy.") for m in dist)
 
 
 def test_lp_commands_load_no_ndimage(files):

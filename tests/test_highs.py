@@ -17,10 +17,11 @@ from helpers import square_grid
 
 
 def test_adapter_names_exist_in_a_fresh_interpreter():
-    # scipy.optimize._highspy is private to scipy: every name the adapter
-    # reads must be there on the installed version, and the array form of
-    # passModel and addCols, and the calls that change a model in place,
-    # must take the arguments the adapter passes
+    # scipy.optimize._highspy and scipy.sparse.csgraph._flow are private to
+    # scipy: every name the adapter and the max-flow read must be there on
+    # the installed version, and the array form of passModel and addCols,
+    # and the calls that change a model in place, must take the arguments
+    # the adapter passes
     script = """
 import numpy as np
 import scipy.optimize._highspy._core as h
@@ -44,6 +45,14 @@ for option in ("output_flag", "simplex_strategy", "presolve", "simplex_dual_edge
     assert H.getOptionType(option)[0] == h.HighsStatus.kOk, option
 assert hasattr(H.getInfo(), "simplex_iteration_count")
 assert _highs.INF == h.kHighsInf
+# scipy.sparse.csgraph._flow is private too: bottleneck.maximum_flow calls
+# its maximum_flow(graph, source, sink) and reads the CSR arrays of .flow
+import scipy.sparse.csgraph._flow as flow
+from scipy import sparse
+from plqp import bottleneck
+assert bottleneck.FLOW == flow.__name__
+f = flow.maximum_flow(sparse.csr_matrix(np.array([[0, 2], [0, 0]], dtype=np.int32)), 0, 1).flow
+assert list(f.indptr) == [0, 1, 2] and list(f.indices) == [1, 0] and list(f.data) == [2, -2]
 # min x0 + 2 x1 with x0 + x1 = 1, then a cheaper column x2
 model = _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
                      [1.0], [1.0], {"presolve": False, "primal_feasibility_tolerance": 1e-10})
@@ -102,6 +111,51 @@ def test_plqp_and_linprog_share_one_highs_module_in_either_order(first):
     # plqp loads HiGHS's binding from its file; scipy.optimize, imported
     # before or after, must run on that same module object, not a copy
     r = subprocess.run([sys.executable, "-c", IMPORT_ORDER_CHILD, first], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["ok"]
+
+
+# one max-flow through plqp (on a unit path 0 -> 1 -> 2 of capacities 5 and
+# 3) and one through scipy.sparse.csgraph, in the order argv[1] names first,
+# then checks that both ran on one module
+FLOW_ORDER_CHILD = """
+import sys
+import numpy as np
+from scipy import sparse
+
+GRAPH = sparse.csr_matrix(np.array([[0, 5, 0], [0, 0, 3], [0, 0, 0]], dtype=np.int32))
+
+def plqp_flow():
+    from plqp import bottleneck
+    assert bottleneck.maximum_flow(GRAPH, 0, 2).flow_value == 3
+    return sys.modules[bottleneck.FLOW]
+
+def scipy_flow():
+    from scipy.sparse import csgraph
+    assert csgraph.maximum_flow(GRAPH, 0, 2).flow_value == 3
+
+if sys.argv[1] == "plqp":
+    used = plqp_flow()
+    # the extension alone leaves the csgraph package and linear algebra unloaded
+    for name in ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"):
+        assert name not in sys.modules, name
+    scipy_flow()
+else:
+    scipy_flow()
+    used = plqp_flow()
+from plqp import bottleneck
+from scipy.sparse import csgraph
+assert used is sys.modules[bottleneck.FLOW]
+assert csgraph.maximum_flow is used.maximum_flow
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["plqp", "scipy"])
+def test_plqp_and_csgraph_share_one_max_flow_module_in_either_order(first):
+    # plqp loads scipy's max-flow extension from its file; the csgraph
+    # package, imported before or after, must hold that same module's function
+    r = subprocess.run([sys.executable, "-c", FLOW_ORDER_CHILD, first], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["ok"]
 

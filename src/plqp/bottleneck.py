@@ -1,15 +1,15 @@
 """Exact bottleneck (infinity-Wasserstein) distance between discrete measures.
 
-The value is searched over the sorted distinct pairwise distances;
-feasibility at a candidate threshold eps is decided by an integer max-flow on
-the bipartite graph restricted to edges with d <= eps.  This realizes the
-neighborhood characterization
+The value is searched over the sorted distinct pairwise distances that lie
+between a lower and an upper bound; feasibility at a candidate threshold
+eps is decided by an integer max-flow on the bipartite graph restricted to
+edges with d <= eps.  This realizes the neighborhood characterization
     inf { eps >= 0 : mu(A) <= nu(A_eps) for all A }
 exactly on finite supports: the returned value is always one of the pairwise
 distances and comes with a feasible witness plan attaining it.
 
-The search runs between a lower and an upper bound, both on the integer
-instance.  The lower bound is the larger of two.  The nearest-neighbour
+Both bounds hold for the integer instance, and only the distances between
+them are sorted.  The lower bound is the larger of two.  The nearest-neighbour
 bound is the largest distance from any atom of either side to its nearest
 atom of the other side: a single atom with no partner within a smaller eps
 violates the condition above (every weight is positive, and so is every
@@ -23,11 +23,12 @@ The upper bound comes from the same monotone couplings, one per axis.  Each
 pairs the atoms in the order of their coordinates on that axis, which makes
 it a feasible plan of the integer weights with exact marginals; the least
 of their largest distances is a feasible threshold.  When it meets the
-lower bound the instance is decided: the coupling is the witness and no
-max-flow runs.  That is every pair on the line, where the projected bound
-is the optimum, and pairs such as whole-cell translates of one grid.
-Otherwise the search gallops from the lower bound's index L, testing L and
-the thresholds 1, 3, 7, ... places above it while they stay below the
+lower bound, that is when no other distance lies between them, the instance
+is decided: the coupling is the witness and no max-flow runs.  That is
+every pair on the line, where the projected bound is the optimum, and
+pairs such as whole-cell translates of one grid.  Otherwise the search
+gallops up from the least distance at or above the lower bound, testing it
+and the thresholds 1, 3, 7, ... places above it while they stay below the
 coupling's, then bisects between its last infeasible and its first
 feasible threshold.  It never tests a threshold that the coupling already
 proves feasible, and the coupling stays the witness until a max-flow proves
@@ -50,20 +51,22 @@ Weights are scaled to integers with totals of 1e9 by `scale_pair` (the
 32-bit max-flow backend wraps above 2^31, and a search refuses a total that
 does not fit, whichever route decides it).  The capacities then differ from
 the float weights by the amounts it bounds: rounding, sub-unit weights
-raised to one unit, and the units that reconcile the two totals.
-That mass grows with the atom count (4.4e-7 on 1248-atom mollified ramp
-balls), so the witness plan can miss the transport module's MARGINAL_TOL
-against the float weights, and the threshold is exact for the scaled
-weights.  Equal weights round to equal capacities, so uniform instances are
+raised to one unit, and the units that reconcile the two totals, which go
+to the entries furthest short of their share.  So the witness plan stays
+within about one unit, the transport module's MARGINAL_TOL, of the float
+weights unless sub-unit weights were raised, and the threshold is exact
+for the scaled weights.  Equal weights round to equal capacities, so uniform instances are
 solved exactly.  For measures derived from grids, cell-center quantization
 adds at most h*sqrt(n)/2 per measure to the distance.  What a search reads
 is the two point sets and these capacities, and nothing else: `instance_key`
 returns them, so a caller that caches results keys on it.
 
 `quantile_gaps` is the one kernel of the monotone (quantile) coupling on the
-line, read by `winf_radial`, the radial scheme sweeps, and the line route
-and `monotone_1d` of `transport`; its mass rule makes rounding-level
-differences 0.
+line; its mass rule makes rounding-level differences 0.  `winf_radial` and
+the radial scheme sweeps read it directly.  `axis_coupling` sorts two point
+sets on the line and maps its segments back to their atoms: the projected
+bound and the axis couplings here, and the line route and `monotone_1d` of
+`transport`, read it that way.
 """
 
 from __future__ import annotations
@@ -103,33 +106,29 @@ def scale_pair(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """Scale two weight vectors to int64 capacities with equal totals.
 
     Returns (a, b, total).  Each weight is rounded independently, so equal
-    weights stay equal and a uniform instance stays uniform, which matters
-    for bottleneck feasibility.  Against the float weights (times
-    FLOW32_SCALE), each capacity moves by at most 0.5 units from rounding;
-    weights that round to zero are raised to one unit; and `_spread` then
-    adds the difference of the two totals to the largest entries of the
-    smaller side.  The total mass moved therefore grows with the atom count:
-    4.4e-7 on mollified ramp balls of 1248 atoms.  On uniform instances the
-    two totals already agree and nothing is spread.
+    weights round to equal capacities, which matters for bottleneck
+    feasibility.  Weights that round to zero are raised to one unit, and
+    `_spread` then raises the smaller side to the other side's total.
     """
-    a = np.rint(np.asarray(wa, dtype=float) * FLOW32_SCALE).astype(np.int64)
-    b = np.rint(np.asarray(wb, dtype=float) * FLOW32_SCALE).astype(np.int64)
-    a = np.maximum(a, 1)
-    b = np.maximum(b, 1)
-    diff = int(a.sum() - b.sum())
-    if diff > 0:
-        _spread(b, diff)
-    elif diff < 0:
-        _spread(a, -diff)
+    wa, wb = np.asarray(wa, dtype=float), np.asarray(wb, dtype=float)
+    a = np.maximum(np.rint(wa * FLOW32_SCALE).astype(np.int64), 1)
+    b = np.maximum(np.rint(wb * FLOW32_SCALE).astype(np.int64), 1)
+    if a.sum() > b.sum():
+        _spread(b, wb, int(a.sum()))
+    elif a.sum() < b.sum():
+        _spread(a, wa, int(b.sum()))
     return a, b, int(a.sum())
 
 
-def _spread(v: np.ndarray, units: int) -> None:
-    """Add `units` units in turns of one unit per entry: every entry gets
-    units // len(v), and the units % len(v) largest (in index order on
-    ties) one more."""
-    order = np.argsort(-v, kind="stable")
-    q, r = divmod(units, len(v))
+def _spread(v: np.ndarray, w: np.ndarray, total: int) -> None:
+    """Raise the capacities v of the weights w to `total`, adding the
+    missing units in turns of one per entry: every entry gets
+    units // len(v), and the units % len(v) with the largest shortfall
+    w * total - v from their share (in index order on ties) one more.  So
+    each capacity stays within about one unit of its share unless it was
+    raised from below half a unit."""
+    order = np.argsort(v - w * total, kind="stable")
+    q, r = divmod(total - int(v.sum()), len(v))
     v += q
     v[order[:r]] += 1
 
@@ -166,14 +165,15 @@ class BottleneckStats:
 class BottleneckResult:
     value: float
     witness_plan: Coupling
-    threshold_index: int
     stats: BottleneckStats
     # quantization bound carried by grid-derived inputs (h*sqrt(n)/2 each side)
     quantization_bound: float = 0.0
 
 
 class _Search:
-    """Search state of one instance over its sorted distinct distances.
+    """Search state of one instance over `values`, its sorted distinct
+    distances from the lower bound up to the best axis coupling's largest
+    distance, which is the last of them.
 
     Every threshold index below `lo` is infeasible; `hi` is the least
     index known feasible, first from the best axis coupling and then from
@@ -190,14 +190,13 @@ class _Search:
         # without a warning, and every capacity is at most the total
         if self.total >= 2**31:
             raise ValueError(f"bottleneck total {self.total} does not fit the int32 max-flow")
-        self.values = np.unique(self.D)
         # below the nearest-neighbour bound some single atom has no partner
         # within eps: a Hall violator for the float and the integer weights;
         # below the projected bound no plan of the integer weights is feasible
         projected, cap, self.witness = self._projected(mu, nu)
         bound = max(self.D.min(axis=1).max(), self.D.min(axis=0).max(), projected)
-        self.lo = int(np.searchsorted(self.values, bound))
-        self.hi = int(np.searchsorted(self.values, cap))
+        self.values = np.unique(self.D[(self.D >= bound) & (self.D <= cap)])
+        self.lo, self.hi = 0, len(self.values) - 1
         self.probe, self.stride = self.lo, 1
         self.thresholds = 0
 
@@ -227,14 +226,13 @@ class _Search:
         max-flow witness is.
         """
         bound, best = 0.0, None
+        a, b = self.a.astype(float), self.b.astype(float)
         for x, y in zip(mu.points.T, nu.points.T):
-            xs, ys = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-            ref = quantile_reference(y[ys], self.b[ys].astype(float))
-            mass, gap, ia, ib = (v[0] for v in quantile_gaps(x[xs], self.a[xs].astype(float), *ref))
+            mass, gap, src, dst = axis_coupling(x, a, y, b)
             t = gap.max()
             bound = max(bound, np.sqrt(t * t))
             keep = mass > 0
-            src, dst = xs[ia[keep]], ys[ib[keep]].astype(np.int32)
+            src, dst = src[keep], dst[keep].astype(np.int32)
             cost = self.D[src, dst].max()
             if best is None or cost < best[0]:
                 best = (cost, src, dst, mass[keep])
@@ -353,8 +351,8 @@ def winf_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]]) -> list[Bott
 
     Pairs are packed, in order, into lockstep batches of at most
     LOCKSTEP_PAIRS pairs of atoms (a larger pair runs alone).  Each instance
-    sees the same thresholds, and so gets the same value and threshold
-    index, as when it runs alone.
+    sees the same thresholds, and so gets the same value, as when it runs
+    alone.
     """
     _check_pairs(pairs, MAX_ATOMS)
     out = []
@@ -363,12 +361,11 @@ def winf_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]]) -> list[Bott
         calls = _lockstep(searches)
         for k, s in zip(run, searches):
             # the minimal feasible threshold is attained by the witness support
-            value = s.witness.max_distance(*pairs[k])
-            idx = int(np.searchsorted(s.values, value))
+            value = float(s.D[s.witness.src, s.witness.dst].max())
             edges = int(np.count_nonzero(s.D <= value))
             route = "maxflow" if s.thresholds else "coupling"
             stats = BottleneckStats(s.thresholds, calls if s.thresholds else 0, len(run), edges, route)
-            out.append(BottleneckResult(value, s.witness, idx, stats))
+            out.append(BottleneckResult(value, s.witness, stats))
     return out
 
 
@@ -427,6 +424,19 @@ def quantile_reference(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndar
     on the sorted `points`: the fixed side of `quantile_gaps`."""
     keep = weights > 0
     return points[keep], np.cumsum(weights)[keep]
+
+
+def axis_coupling(
+    x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The monotone coupling on the line of the positive weights wx on the
+    points x against wy on y: `quantile_gaps` with x sorted as the row and y
+    as the reference.  Returns (mass, gap, i, j) per segment, with the atom
+    indices i into x and j into y in their own order."""
+    xs, ys = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    ref = quantile_reference(y[ys], wy[ys])
+    mass, gap, ia, ib = (v[0] for v in quantile_gaps(x[xs], wx[xs], *ref))
+    return mass, gap, xs[ia], ys[ib]
 
 
 def quantile_gaps(

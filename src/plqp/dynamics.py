@@ -8,7 +8,9 @@ tracing.
 
 Characteristic tracing samples the velocity field with the order-1 sampler
 of `measures`: each set of points gets one corner table, which serves every
-field component and, at the midpoint step, both fields.
+field component and, at the midpoint step, both fields.  The displacement
+path of `bb_verify` deposits its moving masses on the grid by the same
+corner table, the transpose of that sampler.
 
 The reconstruction solves for the momentum m = v * f on staggered faces
 (avoiding division by small densities); velocities are reported only where
@@ -567,21 +569,17 @@ def continuity_residual(traj: Trajectory) -> ResidualReport:
 
 
 def _splat_to_grid(spec: GridSpec, pts: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Deposit point masses into the 2^n nearest cells by area weighting."""
+    """Deposit point masses into the 2^n nearest cells by the order-1
+    weights of `measures._linear_table`: the transpose of the sampler, so
+    <splat(p, m), v> = sum m * sample(v, p).  InputError if a point lies
+    outside the cell centers' box, [0, n - 1] in cell indices, on any axis."""
     idx = (pts - np.asarray(spec.origin)) / spec.h
-    base = np.floor(idx).astype(int)
-    frac = idx - base
-    vals = np.zeros(spec.shape)
-    n = spec.dim
-    for corner in range(2**n):
-        offs = np.array([(corner >> a) & 1 for a in range(n)])
-        w = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
-        cell = base + offs
-        for a in range(n):
-            if np.any(cell[:, a] < 0) or np.any(cell[:, a] >= spec.shape[a]):
-                raise InputError("splat target outside grid")
-        np.add.at(vals, tuple(cell.T), w * masses)
-    return vals
+    if not np.all((idx >= 0) & (idx <= np.array(spec.shape) - 1)):
+        raise InputError("splat target outside grid")
+    vals = np.zeros(math.prod(spec.shape))
+    for flat, weights in _linear_table(list(idx.T), spec.shape):
+        np.add.at(vals, flat, np.prod(weights, axis=0) * masses)
+    return vals.reshape(spec.shape)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ n in {1, 2}.
 
 Multilinear sampling (`_linear_table` and `_linear_sample`) is the one
 off-grid sampler: the translation and dilation curves read it through
-`_interp_values`, and characteristic tracing in `dynamics` directly.  It and
+`_interp_values`, and characteristic tracing in `dynamics` directly; the
+splat of `dynamics.bb_verify` deposits point masses by the transpose of its
+corner table.  It and
 the mollifier's separable convolution are plain numpy, written to round
 exactly as scipy's order-1 `map_coordinates` and `convolve1d` do, so these
 outputs are the same bytes without loading scipy.  At a whole-cell index the
@@ -26,7 +28,6 @@ import numpy as np
 from .errors import InputError
 
 MASS_TOL = 1e-9
-WEIGHT_TOL = 1e-12
 # cell-center sampling must reproduce the continuum mass this well,
 # otherwise the grid is too coarse for the object being built
 RENORM_GUARD = 1e-3

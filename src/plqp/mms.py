@@ -129,9 +129,6 @@ class StepPartition:
     def sup_step(self) -> float:
         return float(max(self.steps))
 
-    def times(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.steps)])
-
     @staticmethod
     def uniform(tau: float, n: int) -> "StepPartition":
         _check_step_count(n)

@@ -11,12 +11,12 @@ machine precision.  Pairwise distances have one kernel, `_distances`.
 Pairs on the line take the line route, which builds no LP.  There the
 monotone (quantile) coupling is optimal for q >= 1 (Santambrogio, Optimal
 Transport for Applied Mathematicians, 2015, ch. 2).  The plan is the
-segments of `bottleneck.quantile_gaps`, the one kernel of that coupling,
-which the oracle `monotone_1d` reads too.  The duals come from the
-staircase that the segments walk: u_i + v_j = d^q on every segment,
-zero-mass ones included, solved by one cumulative sum over the segments
-where the row index steps.  On sorted supports d^q is a Monge array, so
-the duals of any such staircase are feasible.
+segments of `bottleneck.axis_coupling`, the one line coupling, which the
+oracle `monotone_1d` reads too.  The duals come from the staircase that
+the segments walk: u_i + v_j = d^q on every segment, zero-mass ones
+included, solved by one cumulative sum over the segments where the row
+index steps.  On sorted supports d^q is a Monge array, so the duals of
+any such staircase are feasible.
 
 Every other pair takes the LP route.  `wq_lp_many` runs it on any pair,
 lines included, as the oracle of the line route.  It solves the transport
@@ -198,9 +198,8 @@ def _pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return _distances(mu.points, nu.points)
 
 
-def _plan_cost(D: np.ndarray, plan: Coupling, q: float) -> float:
-    dq = D[plan.src, plan.dst] ** q
-    return float(np.dot(plan.flow, dq)) ** (1.0 / q)
+def _plan_cost(Cq: np.ndarray, plan: Coupling, q: float) -> float:
+    return float(np.dot(plan.flow, Cq[plan.src, plan.dst])) ** (1.0 / q)
 
 
 def _certificate_bound(Cq: np.ndarray) -> float:
@@ -425,14 +424,15 @@ def _batches(sizes: list[int], cap: int) -> list[list[int]]:
     return runs
 
 
-def _costs(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distances D and costs D^q of one pair; InputError if D^q overflows."""
-    D = _pairwise_distances(mu, nu)
+def _costs(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> np.ndarray:
+    """Costs d^q of one pair, raised in place on the distances; InputError
+    if they overflow."""
+    Cq = _pairwise_distances(mu, nu)
     with np.errstate(over="ignore"):
-        Cq = D**q
+        Cq **= q
     if not math.isfinite(float(Cq.max())):
         raise InputError(f"distances to the power q = {q} overflow")
-    return D, Cq
+    return Cq
 
 
 def _check_pairs(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], cap: int) -> None:
@@ -449,7 +449,6 @@ def _certified(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     q: float,
-    D: np.ndarray,
     Cq: np.ndarray,
     plan: Coupling,
     u: np.ndarray,
@@ -460,7 +459,7 @@ def _certified(
     duals `check_optimality`; raises InfeasibleError otherwise."""
     plan.check_marginals(mu, nu)
     neg, gap = check_optimality(Cq, plan, u, v, mu.weights, nu.weights)
-    return TransportResult(_plan_cost(D, plan, q), q, plan, TransportStats(reduced_cost=neg, gap=gap, **stats))
+    return TransportResult(_plan_cost(Cq, plan, q), q, plan, TransportStats(reduced_cost=neg, gap=gap, **stats))
 
 
 def _check_wq(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> None:
@@ -471,31 +470,19 @@ def _check_wq(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) ->
     _check_pairs(pairs, MAX_DENSE_ATOMS)
 
 
-def _monotone(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """`bottleneck.quantile_gaps` of a pair on the line, mu as the row and nu
-    as the reference, both sorted: (mass, gap, i, j) per segment, with the
-    atom indices i of mu and j of nu in their own order."""
-    # bottleneck imports this module, so its kernel is looked up at call time
-    from .bottleneck import quantile_gaps, quantile_reference
-
-    xs = np.argsort(mu.points[:, 0], kind="stable")
-    ys = np.argsort(nu.points[:, 0], kind="stable")
-    ref = quantile_reference(nu.points[ys, 0], nu.weights[ys])
-    mass, gap, ia, ib = quantile_gaps(mu.points[xs, 0], mu.weights[xs], *ref)
-    # every weight is positive, so the reference keeps every atom of nu
-    return mass[0], gap[0], xs[ia[0]], ys[ib[0]]
-
-
 def _line(mu: DiscreteMeasure, nu: DiscreteMeasure, Cq: np.ndarray) -> tuple[Coupling, np.ndarray, np.ndarray]:
     """The monotone coupling of a pair on the line, entries sorted by source
     and then target, and its staircase duals u, v.
 
-    The segments of `quantile_gaps` walk a staircase through every atom of
-    both sides, one index stepping at a time.  Along it u_i + v_j = Cq_ij on
-    every segment, zero-mass ones included: u starts at 0 and moves by the
-    step in Cq wherever the row index steps; v is Cq - u.
+    The segments of `bottleneck.axis_coupling` walk a staircase through
+    every atom of both sides, one index stepping at a time.  Along it
+    u_i + v_j = Cq_ij on every segment, zero-mass ones included: u starts at
+    0 and moves by the step in Cq wherever the row index steps; v is Cq - u.
     """
-    mass, _, i, j = _monotone(mu, nu)
+    # bottleneck imports this module, so its kernel is looked up at call time
+    from .bottleneck import axis_coupling
+
+    mass, _, i, j = axis_coupling(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
     c = Cq[i, j]
     row_steps = np.diff(i) != 0
     path_u = np.concatenate([[0.0], np.cumsum(np.where(row_steps, np.diff(c), 0.0))])
@@ -511,23 +498,23 @@ def _lp_route(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) ->
     small = [k for k, (mu, nu) in enumerate(pairs) if len(mu) * len(nu) <= FULL_EDGE_PAIRS]
     costs = {k: _costs(*pairs[k], q) for k in small}
     out: list[TransportResult | None] = [None] * len(pairs)
-    for run in _batches([costs[k][1].size for k in small], BATCH_EDGES):
+    for run in _batches([costs[k].size for k in small], BATCH_EDGES):
         ks = [small[i] for i in run]
-        blocks = [(costs[k][1], pairs[k][0].weights, pairs[k][1].weights) for k in ks]
+        blocks = [(costs[k], pairs[k][0].weights, pairs[k][1].weights) for k in ks]
         solved, iterations = _solve_blocks(blocks)
         for k, (plan, u, v) in zip(ks, solved):
             out[k] = _certified(
-                *pairs[k], q, *costs[k], plan, u, v, route="lp", lp_solves=(1,),
-                edges=costs[k][1].size, batch=len(ks), simplex_iterations=iterations,
+                *pairs[k], q, costs[k], plan, u, v, route="lp", lp_solves=(1,),
+                edges=costs[k].size, batch=len(ks), simplex_iterations=iterations,
             )
     for k, (mu, nu) in enumerate(pairs):
         if out[k] is None:
-            D, Cq = _costs(mu, nu, q)
+            Cq = _costs(mu, nu, q)
             plan, u, v, solves, edges, iterations = _transport(
                 Cq, mu.points, mu.weights, nu.points, nu.weights, q
             )
             out[k] = _certified(
-                mu, nu, q, D, Cq, plan, u, v, route="lp", lp_solves=solves,
+                mu, nu, q, Cq, plan, u, v, route="lp", lp_solves=solves,
                 edges=edges, batch=1, simplex_iterations=iterations,
             )
     return out
@@ -565,10 +552,10 @@ def wq_many(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> l
         if mu.dim > 1:
             out.append(next(solved))
             continue
-        D, Cq = _costs(mu, nu, q)
+        Cq = _costs(mu, nu, q)
         plan, u, v = _line(mu, nu, Cq)
         out.append(_certified(
-            mu, nu, q, D, Cq, plan, u, v, route="line", lp_solves=(),
+            mu, nu, q, Cq, plan, u, v, route="line", lp_solves=(),
             edges=len(plan.flow), batch=1, simplex_iterations=0,
         ))
     return out
@@ -614,12 +601,13 @@ def monotone_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     """Cost of the sorted (quantile) coupling; optimal on the line for q >= 1.
 
     It is (sum mass gap^q)^(1/q) over the segments of
-    `bottleneck.quantile_gaps`, with mu sorted as the row and nu as the
-    reference.
+    `bottleneck.axis_coupling`, mu as the row and nu as the reference.
     """
+    from .bottleneck import axis_coupling
+
     if mu.dim != 1 or nu.dim != 1:
         raise InputError("monotone coupling is 1-dimensional only")
     if q < 1 or math.isinf(q):
         raise InputError("need finite q >= 1")
-    mass, gap, _, _ = _monotone(mu, nu)
+    mass, gap, _, _ = axis_coupling(mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights)
     return float((mass * gap**q).sum() ** (1.0 / q))

@@ -134,6 +134,12 @@ def test_only_bottleneck_names_the_capacity_scaling():
     assert modules_naming("scale_pair") == ["bottleneck.py"]
 
 
+def test_only_bottleneck_and_mms_name_the_quantile_reference():
+    # the line coupling's sort-merge-map steps are written once, in
+    # bottleneck.axis_coupling; transport reads the coupling through it
+    assert modules_naming("quantile_reference") == ["bottleneck.py", "mms.py"]
+
+
 def test_only_transport_builds_pairwise_distances():
     # one distance kernel, transport._distances, sums one axis at a time
     assert modules_naming("subtract.outer") == ["transport.py"]

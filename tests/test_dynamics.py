@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from plqp import _highs, dynamics
+from plqp import _highs, dynamics, measures
 from plqp.bottleneck import winf_grid
 from plqp.dynamics import (
     PathEnsemble,
@@ -625,6 +625,38 @@ def test_bb_identical_inputs():
     rep = bb_verify(g, g)
     assert rep.winf_value == pytest.approx(0.0, abs=1e-12)
     assert rep.achieved_norm == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_splat_is_the_transpose_of_the_sampler(dim):
+    # <splat(p, m), v> = sum m * sample(v, p) for any grid values v, with
+    # points on whole cells and on the faces of the box among them
+    rng = np.random.default_rng(40 + dim)
+    spec = square_grid(16, 4.0, dim)  # h = 1/4: cell indices round-trip exactly
+    idx = rng.uniform(0, 15, (300, dim))
+    idx[:30] = np.rint(idx[:30])
+    idx[30], idx[31] = 0.0, 15.0
+    idx[32, 0] = 15.0
+    pts = np.asarray(spec.origin) + idx * spec.h
+    masses = rng.uniform(0.1, 1.0, len(pts))
+    splat = dynamics._splat_to_grid(spec, pts, masses)
+    assert splat.shape == spec.shape
+    for _ in range(5):
+        v = rng.uniform(-1.0, 1.0, spec.shape)
+        lhs = float((splat * v).sum())
+        rhs = float((masses * measures._interp_values(v, list(idx.T))).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert splat.sum() == pytest.approx(masses.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("where", [-1e-9, 15.0 + 1e-9, np.nan])
+def test_splat_refuses_points_outside_the_grid(where):
+    spec = square_grid(16, 4.0)
+    idx = np.array([[3.0, 4.0], [5.5, 6.25]])
+    idx[1, 1] = where
+    pts = np.asarray(spec.origin) + idx * spec.h
+    with pytest.raises(InputError, match="splat target outside grid"):
+        dynamics._splat_to_grid(spec, pts, np.array([0.5, 0.5]))
 
 
 def test_bb_translation_pair_two_sided():

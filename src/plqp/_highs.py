@@ -2,8 +2,7 @@
 
 `Model` holds a linear program
 
-    minimize cost . x  subject to  row_lower <= A x <= row_upper,
-                                   col_lower <= x <= col_upper
+    minimize cost . x  subject to  A x = rhs,  col_lower <= x <= col_upper
 
 on the HiGHS object that scipy ships (`scipy.optimize._highspy._core`),
 with A given column-wise.  It sets the options `scipy.optimize.linprog`
@@ -12,10 +11,11 @@ presolve, tolerances and dual edge-weight rule, under linprog's names and
 values), so on the same LP it returns the same primal values and row duals
 as `linprog`, without its input checks and sparse conversions.  An option
 that HiGHS rejects raises ValueError, where linprog would warn and drop it.
-A solved model can grow by columns (`add_cols`), or change its column
-bounds and costs (`change_cols`), its row bounds (`change_rows`) or one
-column's entries (`replace_col`), and run again: HiGHS then starts from the
-last basis.
+Every row is an equality whose right-hand side is set once, when the
+model is built.  A solved model can grow by columns (`add_cols`), or
+change the costs and bounds of every column (`change_cols`) or one
+column's entries (`replace_col`), and run again: HiGHS then starts from
+the last basis.
 
 `scipy.optimize._highspy` is private to scipy; pyproject.toml pins the
 scipy range tested with it, and a test checks that every name used here
@@ -106,17 +106,18 @@ class Model:
     """A column-wise LP on one HiGHS object: `run` solves it, and the other
     methods change it in place for the next `run`.
 
-    start, index, value: the constraint matrix in compressed-column form,
+    start, index, value: the constraint matrix A in compressed-column form,
     column j holding value[start[j]:start[j+1]] in rows
-    index[start[j]:start[j+1]].  options: `presolve` (bool), optionally
-    `simplex_dual_edge_weight_strategy` (a key of EDGE_WEIGHT_STRATEGIES),
-    and any other HiGHS option under its own name, with a value of its own
-    type (such as `primal_feasibility_tolerance` and
-    `dual_feasibility_tolerance`).  Raises ValueError naming an option that
-    HiGHS rejects: an unknown name, a value out of range or of another type.
+    index[start[j]:start[j+1]].  rhs: the right-hand side of A x = rhs.
+    options: `presolve` (bool), optionally `simplex_dual_edge_weight_strategy`
+    (a key of EDGE_WEIGHT_STRATEGIES), and any other HiGHS option under its
+    own name, with a value of its own type (such as
+    `primal_feasibility_tolerance` and `dual_feasibility_tolerance`).
+    Raises ValueError naming an option that HiGHS rejects: an unknown name,
+    a value out of range or of another type.
     """
 
-    def __init__(self, cost, col_lower, col_upper, start, index, value, row_lower, row_upper, options):
+    def __init__(self, cost, col_lower, col_upper, start, index, value, rhs, options):
         self._core = _core = load_extension(CORE)
         self._highs = h = _core._Highs()
         h.setOptionValue("output_flag", False)
@@ -134,9 +135,9 @@ class Model:
         # the array form of passModel: setting the fields of a HighsLp copies
         # its matrix element by element, 9 of 11 ms on 14,400 columns
         status = h.passModel(
-            ncol, len(row_lower), len(index), int(_core.MatrixFormat.kColwise),
+            ncol, len(rhs), len(index), int(_core.MatrixFormat.kColwise),
             int(_core.ObjSense.kMinimize), 0.0, cost, col_lower, col_upper,
-            row_lower, row_upper, start, index, value,
+            rhs, rhs, start, index, value,
             np.zeros(ncol, dtype=np.int32),  # every column continuous
         )
         if status == _core.HighsStatus.kError:
@@ -150,23 +151,14 @@ class Model:
         if status == self._core.HighsStatus.kError:
             raise ValueError("HiGHS rejected the added columns")
 
-    def change_cols(self, index, col_lower, col_upper, cost=None) -> None:
-        """Set the bounds, and the costs if given, of the columns `index`."""
+    def change_cols(self, cost, col_lower, col_upper) -> None:
+        """Set the costs and the bounds of every column."""
         h = self._highs
-        index = np.asarray(index, dtype=np.int32)
-        status = [h.changeColsBounds(len(index), index, col_lower, col_upper)]
-        if cost is not None:
-            status.append(h.changeColsCost(len(index), index, cost))
+        index = np.arange(len(cost), dtype=np.int32)
+        status = {h.changeColsCost(len(index), index, cost),
+                  h.changeColsBounds(len(index), index, col_lower, col_upper)}
         if self._core.HighsStatus.kError in status:
             raise ValueError("HiGHS rejected the column change")
-
-    def change_rows(self, row_lower, row_upper) -> None:
-        """Set the bounds of every row, one changeRowBounds call per row:
-        the binding has no array form of changeRowsBounds."""
-        rows = range(len(row_lower))
-        status = set(map(self._highs.changeRowBounds, rows, row_lower.tolist(), row_upper.tolist()))
-        if self._core.HighsStatus.kError in status:
-            raise ValueError("HiGHS rejected the row bounds")
 
     def replace_col(self, col: int, index, value) -> None:
         """Make column `col` hold `value` in the rows `index` and 0 in every

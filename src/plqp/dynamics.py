@@ -21,16 +21,18 @@ The minimal sup-norm solve minimizes the face norm
 max_e |m_e| / f_e over the staggered edge graph exactly, as two linear
 programs whose only inequalities are box bounds on the columns, on the
 divergence D of the faces a trajectory uses and the cells they touch
-(`_FaceSystem`).  Phase 1 is the homogenized form: max s subject to
-D m' = s rhs and |m'_e| <= f_e, so the face norm is t = 1/s and the momentum
-m' / s.  Phase 2 writes m = p - q with 0 <= p, q <= t f and picks, among
+(`_FaceSystem`).  Both are homogeneous: copies of +-D and one column s
+holding -rhs, with zero rows.  Phase 1 is max s subject to D m' = s rhs and
+|m'_e| <= f_e, so the face norm is t = 1/s and the momentum m' / s.  Phase
+2 fixes s at 1, writes m = p - q with 0 <= p, q <= t f and picks, among
 momenta at that bound, the one of least total face speed
 sum (p_e + q_e) / f_e.  D is built once per trajectory, and each phase is
 one model of the HiGHS adapter `_highs.Model`: the first interval solves it
-cold, and every later one changes only its bounds, costs and right-hand side
-and re-solves from the last basis, with HiGHS presolve off and its default
-tolerances (LP_OPTIONS); a phase 1 that HiGHS proves unbounded is no motion.
-The per-cell Euclidean speed is assembled from face values afterwards.
+cold, and every later one sets the bounds and costs of every column and
+rewrites the s column, and re-solves from the last basis, with HiGHS
+presolve off and its default tolerances (LP_OPTIONS); a phase 1 that HiGHS
+proves unbounded is no motion.  The per-cell Euclidean speed is assembled
+from face values afterwards.
 """
 
 from __future__ import annotations
@@ -209,9 +211,9 @@ class _FaceSystem:
     The columns of `D` are the faces of positive density on some interval,
     its rows the cells those faces touch.  A cell whose density changes has
     positive density, so it is a row.  D is built once.  Each sup-norm phase
-    is one HiGHS model, built on the first interval that needs it; a later
-    interval changes only its bounds, costs and right-hand side, and HiGHS
-    re-solves from the last basis.
+    is one HiGHS model, built by `_model` on the first interval that needs
+    it; on a later interval `_model` sets its column bounds and costs and
+    its s column, and HiGHS re-solves from the last basis.
     """
 
     def __init__(self, spec: GridSpec, densities: list[np.ndarray]):
@@ -224,6 +226,7 @@ class _FaceSystem:
         D = _divergence_matrix(spec)[:, self.columns]
         self.rows = np.flatnonzero(D.getnnz(axis=1))
         self.D = D[self.rows]
+        self.Dc = self.D.tocsc()  # column-wise, as the LPs take it
         # each interval's density on the used faces; 0 where it has none
         self.fface = [f[self.columns] for f in fface]
         self.phase1 = self.phase2 = None
@@ -240,26 +243,12 @@ class _FaceSystem:
         """
         D, f = self.D, self.fface[k]
         n = len(f)
-        nz = np.flatnonzero(rhs)
-        # phase 1, homogenized: max s subject to D m' = s rhs and |m'_e| <= f_e,
-        # so the face norm is t = 1/s and the momentum m' / s.  D stays; the
-        # bounds and the s column change.
-        if self.phase1 is None:
-            C = D.tocsc()
-            self.phase1 = _highs.Model(
-                np.concatenate([np.zeros(n), [-1.0]]),
-                np.concatenate([-f, [0.0]]),
-                np.concatenate([f, [_highs.INF]]),
-                np.concatenate([C.indptr, [C.indptr[-1] + len(nz)]]),
-                np.concatenate([C.indices, nz]),
-                np.concatenate([C.data, -rhs[nz]]),
-                np.zeros(len(rhs)),
-                np.zeros(len(rhs)),
-                LP_OPTIONS,
-            )
-        else:
-            self.phase1.change_cols(np.arange(n), -f, f)
-            self.phase1.replace_col(n, nz, -rhs[nz])
+        # phase 1: max s subject to D m' = s rhs and |m'_e| <= f_e, so the
+        # face norm is t = 1/s and the momentum m' / s
+        self.phase1 = self._model(
+            self.phase1, (1.0,), rhs, np.concatenate([np.zeros(n), [-1.0]]),
+            np.concatenate([-f, [0.0]]), np.concatenate([f, [_highs.INF]]),
+        )
         sol = self.phase1.run()
         if sol.unbounded:
             # s unbounded above: t = 0 moves rhs within the solver tolerance
@@ -279,32 +268,42 @@ class _FaceSystem:
         # phase 2: the sup-norm optimum is degenerate; among momenta at the
         # optimal bound, m = p - q with 0 <= p, q <= cap, take the one of least
         # total face speed sum (p_e + q_e) / f_e to kill transverse wiggle.
-        # [D, -D] stays; the costs, the bounds and the row bounds change.
+        # Its s is fixed at 1: D p - D q = rhs.
         active = f > 0
         cap = np.where(active, face_norm * (1.0 + 1e-9) * f + 1e-15, 0.0)
         speed = np.divide(1.0, f, out=np.zeros(n), where=active)
-        cost, upper = np.concatenate([speed, speed]), np.concatenate([cap, cap])
-        if self.phase2 is None:
-            C = D.tocsc()
-            self.phase2 = _highs.Model(
-                cost,
-                np.zeros(2 * n),
-                upper,
-                np.concatenate([C.indptr, C.indptr[1:] + C.indptr[-1]]),
-                np.concatenate([C.indices, C.indices]),
-                np.concatenate([C.data, -C.data]),
-                rhs,
-                rhs,
-                LP_OPTIONS,
-            )
-        else:
-            self.phase2.change_cols(np.arange(2 * n), np.zeros(2 * n), upper, cost)
-            self.phase2.change_rows(rhs, rhs)
+        self.phase2 = self._model(
+            self.phase2, (1.0, -1.0), rhs, np.concatenate([speed, speed, [0.0]]),
+            np.concatenate([np.zeros(2 * n), [1.0]]), np.concatenate([cap, cap, [1.0]]),
+        )
         sol2 = self.phase2.run()
         if sol2.optimal:
             # p - q can pass cap by a few ulps; the bound is stated exactly
-            return np.clip(sol2.x[:n] - sol2.x[n:], -cap, cap), face_norm
+            return np.clip(sol2.x[:n] - sol2.x[n:-1], -cap, cap), face_norm
         return m1, face_norm
+
+    def _model(self, model, signs, rhs, cost, lower, upper) -> _highs.Model:
+        """`model` set to the LP on the columns sign * D for each of `signs`
+        and an s column holding -rhs, with zero rows [sign * D ..., -rhs] x = 0
+        and `cost`, `lower` and `upper` on every column, s last.  It is
+        built on the first call (`model` None); later calls rewrite the
+        columns in place, and HiGHS re-solves from the last basis."""
+        nz = np.flatnonzero(rhs)
+        if model is None:
+            C, copies = self.Dc, len(signs)
+            nnz = C.indptr[-1]
+            return _highs.Model(
+                cost, lower, upper,
+                np.concatenate([C.indptr[:-1] + k * nnz for k in range(copies)]
+                               + [[copies * nnz, copies * nnz + len(nz)]]),
+                np.concatenate([C.indices] * copies + [nz]),
+                np.concatenate([sign * C.data for sign in signs] + [-rhs[nz]]),
+                np.zeros(len(rhs)),
+                LP_OPTIONS,
+            )
+        model.change_cols(cost, lower, upper)
+        model.replace_col(len(cost) - 1, nz, -rhs[nz])
+        return model
 
 
 def _kinetic_momentum(Da, fa: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -335,8 +334,9 @@ def _solve_interval(system: _FaceSystem, k: int, f0, f1, dt, norm):
     norm is max |m_e| / f_e over faces with f_e >= DENSITY_FLOOR.  With
     norm='linf' the face bound of phase 1 is an LP optimum value and
     does not depend on the solver or on the basis it starts from.  Phase 2
-    minimizes the total face speed sum |m_e| / f_e under that bound.  On the
-    96^2 ramp ball translated at speed 0.25 of
+    minimizes the total face speed sum |m_e| / f_e under that bound; its
+    optimum is not unique, so the cell sup-norms depend on the vertex HiGHS
+    reaches.  On the 96^2 ramp ball translated at speed 0.25 of
     `test_reconstruct_translation_sup_norm_and_direction`, every interval has
     face norm 0.258887 and the largest cell sup-norm is 0.2608, with the
     chained LPs run without HiGHS presolve (LP_OPTIONS) and with it alike.

@@ -610,15 +610,12 @@ def _grid_resolvent(prob: ResolventProblem, _state=None):
                 cand[tuple(dst)] += fam.quantum / vol
                 if cand[src] < 0:
                     continue
-                try:
-                    g = GridDensity(spec, cand)
-                    phi = _grid_phi(prob, g)
-                    gap = lp_norm_diff(g, anchor, math.inf)
-                    val = math.inf
-                    if phi + gap**2 / (2 * prob.tau) < cur_val - 1e-12:
-                        val = phi + (coarse_winf(g) + gap) ** 2 / (2 * prob.tau)
-                except InputError:
-                    continue
+                g = GridDensity(spec, cand)
+                phi = _grid_phi(prob, g)
+                gap = lp_norm_diff(g, anchor, math.inf)
+                val = math.inf
+                if phi + gap**2 / (2 * prob.tau) < cur_val - 1e-12:
+                    val = phi + (coarse_winf(g) + gap) ** 2 / (2 * prob.tau)
                 evaluated += 1
                 if val < cur_val - 1e-12:
                     cur = cand

@@ -198,10 +198,6 @@ def _pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return _distances(mu.points, nu.points)
 
 
-def _plan_cost(Cq: np.ndarray, plan: Coupling, q: float) -> float:
-    return float(np.dot(plan.flow, Cq[plan.src, plan.dst])) ** (1.0 / q)
-
-
 def _certificate_bound(Cq: np.ndarray) -> float:
     return OPTIMALITY_TOL * max(1.0, float(Cq.max()))
 
@@ -218,8 +214,7 @@ def _columns(src: np.ndarray, dst: np.ndarray, m: int):
 
 def _model(cost: np.ndarray, src: np.ndarray, dst: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> _highs.Model:
     """The transport LP on the edges (src[k], dst[k]) with costs cost[k]."""
-    b = np.concatenate([wa, wb])
-    return _highs.Model(cost, *_columns(src, dst, len(wa)), b, b, LP_OPTIONS)
+    return _highs.Model(cost, *_columns(src, dst, len(wa)), np.concatenate([wa, wb]), LP_OPTIONS)
 
 
 def _run(model: _highs.Model, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -229,18 +224,6 @@ def _run(model: _highs.Model, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if not sol.optimal:
         raise InfeasibleError(f"transport LP failed: {sol.message}")
     return sol.x, sol.row_dual[:m], sol.row_dual[m:], sol.simplex_iterations
-
-
-def _solve_lp(
-    cost: np.ndarray, src: np.ndarray, dst: np.ndarray, wa: np.ndarray, wb: np.ndarray
-) -> tuple[Coupling, np.ndarray, np.ndarray, int]:
-    """Transport LP via HiGHS on the edges (src[k], dst[k]) with costs
-    cost[k]: the plan, the duals u, v of the supply and demand rows, and the
-    simplex iterations."""
-    m = len(wa)
-    x, u, v, iterations = _run(_model(cost, src, dst, wa, wb), m)
-    keep = x > 0
-    return Coupling(src[keep], dst[keep], x[keep], m, len(wb)), u, v, iterations
 
 
 def _solve_blocks(
@@ -255,21 +238,19 @@ def _solve_blocks(
                           for r, (_, wa, wb) in zip(rows, blocks)])
     dst = np.concatenate([np.tile(np.arange(c, c + len(wb)), len(wa))
                           for c, (_, wa, wb) in zip(cols, blocks)])
-    plan, u, v, iterations = _solve_lp(
-        np.concatenate([Cq.ravel() for Cq, _, _ in blocks]),
-        src,
-        dst,
-        np.concatenate([wa for _, wa, _ in blocks]),
-        np.concatenate([wb for _, _, wb in blocks]),
-    )
+    model = _model(np.concatenate([Cq.ravel() for Cq, _, _ in blocks]), src, dst,
+                   np.concatenate([wa for _, wa, _ in blocks]), np.concatenate([wb for _, _, wb in blocks]))
+    x, u, v, iterations = _run(model, rows[-1])
+    keep = x > 0
+    src, dst, x = src[keep], dst[keep], x[keep]
     # the plan keeps the edge order, so each block's entries are contiguous
-    cut = np.searchsorted(plan.src, rows)
+    cut = np.searchsorted(src, rows)
     return [
         (
             Coupling(
-                plan.src[cut[k] : cut[k + 1]] - rows[k],
-                plan.dst[cut[k] : cut[k + 1]] - cols[k],
-                plan.flow[cut[k] : cut[k + 1]],
+                src[cut[k] : cut[k + 1]] - rows[k],
+                dst[cut[k] : cut[k + 1]] - cols[k],
+                x[cut[k] : cut[k + 1]],
                 len(wa),
                 len(wb),
             ),
@@ -456,10 +437,15 @@ def _certified(
     **stats,
 ) -> TransportResult:
     """The result of one pair once its plan passes `check_marginals` and its
-    duals `check_optimality`; raises InfeasibleError otherwise."""
+    duals `check_optimality`; raises InfeasibleError otherwise, and
+    InputError when the plan moves mass between distinct points at a cost
+    below the smallest normal float, where d^q has underflowed."""
     plan.check_marginals(mu, nu)
     neg, gap = check_optimality(Cq, plan, u, v, mu.weights, nu.weights)
-    return TransportResult(_plan_cost(Cq, plan, q), q, plan, TransportStats(reduced_cost=neg, gap=gap, **stats))
+    cost = float(np.dot(plan.flow, Cq[plan.src, plan.dst]))
+    if cost < np.finfo(float).tiny and plan.max_distance(mu, nu) > 0:
+        raise InputError(f"the transport cost at q = {q} underflows")
+    return TransportResult(cost ** (1.0 / q), q, plan, TransportStats(reduced_cost=neg, gap=gap, **stats))
 
 
 def _check_wq(pairs: list[tuple[DiscreteMeasure, DiscreteMeasure]], q: float) -> None:

@@ -537,10 +537,10 @@ def linprog_phases(D, f, rhs):
     cap = np.where(active, 1.0 / res1.x[-1] * (1.0 + 1e-9) * f + 1e-15, 0.0)
     speed = np.divide(1.0, f, out=np.zeros(n), where=active)
     res2 = linprog(
-        np.concatenate([speed, speed]),
-        A_eq=sparse.hstack([D, -D], format="csr"),
-        b_eq=rhs,
-        bounds=np.column_stack([np.zeros(2 * n), np.concatenate([cap, cap])]),
+        np.concatenate([speed, speed, [0.0]]),
+        A_eq=sparse.hstack([D, -D, sparse.csr_matrix(-rhs[:, None])], format="csr"),
+        b_eq=np.zeros(len(rhs)),
+        bounds=np.column_stack([np.concatenate([np.zeros(2 * n), [1.0]]), np.concatenate([cap, cap, [1.0]])]),
         method="highs",
         options=dynamics.LP_OPTIONS,
     )

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -594,6 +595,89 @@ def test_cli_malformed_grid_files(fuzz_dir, part, junk):
     bad.write_text(mangle((fuzz_dir / "a.csv").read_text(), part, junk))
     assert_clean_exit(*run_main("dist", str(bad), str(b)), out)
     assert_clean_exit(*run_main("isop", str(bad)), out)
+
+
+# header values no grid may be read with, and the numeric ones a grid may
+HEADER_JUNK = ["nan", "inf", "-inf", "-0", "0", "3", "1e400", ""]
+VALUE_JUNK = ["abc", "", "nan", "-inf", "1e400", "1,2"]
+GRID_FAULTS = ["none", "header", "rows", "columns", "negative", "value", "ring"]
+
+
+def grid_text(n: int, h: float, values: np.ndarray) -> str:
+    header = f"#plqp-grid v1 dim=2 shape={n}x{n} h={h!r} origin=0,0"
+    return "\n".join([header] + [",".join(format(v, ".17g") for v in row) for row in values]) + "\n"
+
+
+@st.composite
+def grid_pairs(draw):
+    """(fault, texts of two plqp-grid files on one small 2D grid): a valid
+    unit-mass grid second, and first another one with the fault drawn from
+    GRID_FAULTS: a junk header field, a row or a value too many or too few,
+    a negative or junk value, or unit mass with a nonzero boundary-ring cell."""
+    n = draw(st.integers(4, 7))
+    h = draw(st.sampled_from([0.125, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fault = draw(st.sampled_from(GRID_FAULTS))
+
+    def unit_mass(ring: bool) -> np.ndarray:
+        vals = np.zeros((n, n))
+        vals[1:-1, 1:-1] = rng.uniform(0.0, 1.0, (n - 2, n - 2))
+        if ring:
+            vals[draw(st.sampled_from([0, n - 1])), draw(st.integers(0, n - 1))] = rng.uniform(0.1, 1.0)
+        return vals / (vals.sum() * h * h)
+
+    good = grid_text(n, h, unit_mass(False))
+    vals = unit_mass(fault == "ring")
+    i, j = draw(st.integers(1, n - 2)), draw(st.integers(1, n - 2))
+    if fault == "negative":
+        vals[i, j] = -vals[i, j] - 1.0
+    lines = grid_text(n, h, vals).splitlines()
+    if fault == "header":
+        field = draw(st.sampled_from(["dim", "shape", "h", "origin"]))
+        junk = draw(st.sampled_from(HEADER_JUNK))
+        if field == "origin":
+            junk = draw(st.sampled_from([junk, f"{junk},0", f"0,{junk}", f"0,0,{junk}"]))
+        lines[0] = re.sub(rf"{field}=\S+", lambda _: f"{field}={junk}", lines[0])
+    elif fault == "rows":
+        lines[i:i + 1] = [] if draw(st.booleans()) else [lines[i]] * 2
+    elif fault == "columns":
+        lines[i] = lines[i].rsplit(",", 1)[0] if draw(st.booleans()) else lines[i] + ",0"
+    elif fault == "value":
+        row = lines[i].split(",")
+        row[j] = draw(st.sampled_from(VALUE_JUNK))
+        lines[i] = ",".join(row)
+    return fault, "\n".join(lines) + "\n", good
+
+
+def numbers(payload):
+    """Every number in a JSON payload."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        return [x for item in payload for x in numbers(item)]
+    return [payload] if isinstance(payload, (int, float)) and not isinstance(payload, bool) else []
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=grid_pairs())
+def test_cli_generated_grid_files(fuzz_dir, case):
+    # isop and dist at q = 2 and q = inf keep the CLI's promise on every
+    # generated grid: a clean exit 0, 2 or 3, and finite numbers on exit 0
+    fault, text, good_text = case
+    bad, good = fuzz_dir / "generated.csv", fuzz_dir / "generated_good.csv"
+    bad.write_text(text)
+    good.write_text(good_text)
+    for argv in (["isop", str(bad)], ["dist", "--q", "2", str(bad), str(good)],
+                 ["dist", "--q", "inf", str(bad), str(good)]):
+        rc, out, err = main_output(*argv)
+        assert rc in (0, 2, 3), err
+        assert "Traceback" not in err
+        if rc == 0:
+            assert all(math.isfinite(x) for x in numbers(json.loads(out))), out
+        else:
+            assert err.startswith(("error:", "infeasible:")), err
+        if fault in ("none", "ring"):
+            assert rc == (0 if fault == "none" else 2), err
 
 
 # a spacing whose cell volume h^2 overflows: each reading command exited 1

@@ -38,7 +38,7 @@ for name in _highs.EDGE_WEIGHT_STRATEGIES.values():
 H = h._Highs()
 for method in ("passModel", "addCols", "run", "setOptionValue", "getOptionValue", "getModelStatus",
                "getInfo", "getSolution", "modelStatusToString", "changeColsBounds",
-               "changeColsCost", "changeRowBounds", "changeCoeff", "getColEntries"):
+               "changeColsCost", "changeCoeff", "getColEntries"):
     assert callable(getattr(H, method)), method
 for option in ("output_flag", "simplex_strategy", "presolve", "simplex_dual_edge_weight_strategy",
                "primal_feasibility_tolerance", "dual_feasibility_tolerance"):
@@ -55,18 +55,21 @@ f = flow.maximum_flow(sparse.csr_matrix(np.array([[0, 2], [0, 0]], dtype=np.int3
 assert list(f.indptr) == [0, 1, 2] and list(f.indices) == [1, 0] and list(f.data) == [2, -2]
 # min x0 + 2 x1 with x0 + x1 = 1, then a cheaper column x2
 model = _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
-                     [1.0], [1.0], {"presolve": False, "primal_feasibility_tolerance": 1e-10})
+                     [1.0], {"presolve": False, "primal_feasibility_tolerance": 1e-10})
 assert list(model.run().x) == [1.0, 0.0]
 model.add_cols([0.5], [0.0], [_highs.INF], [0, 1], [0], [1.0])
 sol = model.run()
 assert sol.optimal and list(sol.x) == [0.0, 0.0, 1.0] and list(sol.row_dual) == [0.5]
-# x0 costs 3 and x2 at most 0.25, then x0 + x1 + x2 = 2, then x2 holds 2 in the row
-model.change_cols([0, 2], [0.0, 0.0], [_highs.INF, 0.25], [3.0, 0.5])
+# x0 costs 3 and x2 at most 0.25; then x2 is fixed at 1 and holds -1 in the
+# row, the form of the right-hand side of dynamics' sup-norm LPs, so that
+# x0 + x1 = 2; then x2's entry is cleared, so that x0 + x1 = 1
+model.change_cols([3.0, 2.0, 0.5], [0.0, 0.0, 0.0], [_highs.INF, _highs.INF, 0.25])
 assert list(model.run().x) == [0.0, 0.75, 0.25]
-model.change_rows(np.array([2.0]), np.array([2.0]))
-assert list(model.run().x) == [0.0, 1.75, 0.25]
-model.replace_col(2, [0], [2.0])
-assert list(model.run().x) == [0.0, 1.5, 0.25]
+model.change_cols([3.0, 2.0, 0.0], [0.0, 0.0, 1.0], [_highs.INF, _highs.INF, 1.0])
+model.replace_col(2, [0], [-1.0])
+assert list(model.run().x) == [0.0, 2.0, 1.0]
+model.replace_col(2, [], [])
+assert list(model.run().x) == [0.0, 1.0, 1.0]
 print("ok")
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -82,7 +85,7 @@ import sys
 def plqp_lp():
     from plqp import _highs
     model = _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
-                         [1.0], [1.0], {"presolve": False})
+                         [1.0], {"presolve": False})
     assert list(model.run().x) == [1.0, 0.0]
     return model._core
 
@@ -212,9 +215,9 @@ def test_unbounded_and_infeasible_status():
     start, index = [0, 1, 2], [0, 0]
     lower, upper = np.zeros(2), np.full(2, _highs.INF)
     options = {"presolve": False}
-    sol = _highs.Model([-1.0, 0.0], lower, upper, start, index, [1.0, -1.0], [0.0], [0.0], options).run()
+    sol = _highs.Model([-1.0, 0.0], lower, upper, start, index, [1.0, -1.0], [0.0], options).run()
     assert sol.unbounded and not sol.optimal and sol.x is None
-    sol = _highs.Model([1.0, 1.0], lower, upper, start, index, [1.0, 1.0], [-1.0], [-1.0], options).run()
+    sol = _highs.Model([1.0, 1.0], lower, upper, start, index, [1.0, 1.0], [-1.0], options).run()
     assert not sol.unbounded and not sol.optimal and "nfeasible" in sol.message
 
 
@@ -233,8 +236,7 @@ def test_add_cols_resolves_from_the_last_basis():
     model.add_cols(Cq[add_src, add_dst], *transport._columns(add_src, add_dst, m))
     x, _, _, _ = transport._run(model, m)
     warm = float(np.dot(x, Cq[np.concatenate([src, add_src]), np.concatenate([dst, add_dst])]))
-    all_src, all_dst = np.nonzero(np.ones((m, n), dtype=bool))
-    plan, _, _, _ = transport._solve_lp(Cq.ravel(), all_src, all_dst, wa, wb)
+    [(plan, _, _)], _ = transport._solve_blocks([(Cq, wa, wb)])
     cold = float(np.dot(plan.flow, Cq[plan.src, plan.dst]))
     assert abs(warm - cold) <= 1e-12 * cold
 
@@ -242,7 +244,7 @@ def test_add_cols_resolves_from_the_last_basis():
 def one_row_model(options):
     """min x0 + 2 x1 with x0 + x1 = 1, under `options`."""
     return _highs.Model([1.0, 2.0], [0.0, 0.0], [_highs.INF] * 2, [0, 1, 2], [0, 0], [1.0, 1.0],
-                        [1.0], [1.0], options)
+                        [1.0], options)
 
 
 @pytest.mark.parametrize(

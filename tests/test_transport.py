@@ -18,7 +18,7 @@ from plqp.errors import InfeasibleError, InputError
 from plqp.measures import DiscreteMeasure
 from plqp.transport import (
     _pairwise_distances,
-    _solve_lp,
+    _solve_blocks,
     check_optimality,
     monotone_1d,
     wq,
@@ -229,8 +229,7 @@ def test_optimality_certificate_holds_and_rejects_perturbed_duals():
         b = random_measure(rng, int(rng.integers(1, 30)), box=1.0)
         q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         Cq = _pairwise_distances(a, b) ** q
-        src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
-        plan, u, v, _ = _solve_lp(Cq.ravel(), src, dst, a.weights, b.weights)
+        [(plan, u, v)], _ = _solve_blocks([(Cq, a.weights, b.weights)])
         neg, gap = check_optimality(Cq, plan, u, v, a.weights, b.weights)
         assert max(neg, gap) <= 1e-9 * max(1.0, Cq.max())
         # every row and column carries flow, so raising any one dual by 1e-6
@@ -250,11 +249,11 @@ def test_optimality_certificate_holds_and_rejects_perturbed_duals():
 def test_wq_raises_when_certificate_fails(monkeypatch):
     # 4 x 5 atoms: one LP on all pairs, whose perturbed duals reach the
     # final certificate unchanged
-    def perturbed(cost, src, dst, wa, wb):
-        plan, u, v, iterations = _solve_lp(cost, src, dst, wa, wb)
-        return plan, u + 1e-6, v, iterations
+    def perturbed(blocks):
+        solved, iterations = _solve_blocks(blocks)
+        return [(plan, u + 1e-6, v) for plan, u, v in solved], iterations
 
-    monkeypatch.setattr(transport, "_solve_lp", perturbed)
+    monkeypatch.setattr(transport, "_solve_blocks", perturbed)
     rng = np.random.default_rng(11)
     with pytest.raises(InfeasibleError, match="certificate"):
         wq(random_measure(rng, 4, box=1.0), random_measure(rng, 5, box=1.0), 2.0)
@@ -284,11 +283,11 @@ def test_wq_many_matches_singleton_wq(monkeypatch, dim, q):
     pairs.insert(17, (random_measure(rng, 50, dim), random_measure(rng, 45, dim)))
     edges = []
 
-    def spy(cost, src, dst, wa, wb):
-        edges.append(len(src))
-        return _solve_lp(cost, src, dst, wa, wb)
+    def spy(blocks):
+        edges.append(sum(Cq.size for Cq, _, _ in blocks))
+        return _solve_blocks(blocks)
 
-    monkeypatch.setattr(transport, "_solve_lp", spy)
+    monkeypatch.setattr(transport, "_solve_blocks", spy)
     many = solve(pairs, q)
     assert max(edges) <= transport.BATCH_EDGES
     small = [r for (a, b), r in zip(pairs, many) if len(a) * len(b) <= transport.FULL_EDGE_PAIRS]
@@ -309,17 +308,16 @@ def test_wq_many_matches_singleton_wq(monkeypatch, dim, q):
 def test_wq_many_certifies_each_block(monkeypatch):
     rng = np.random.default_rng(24)
     pairs = [(random_measure(rng, m, box=1.0), random_measure(rng, m + 1, box=1.0)) for m in (3, 4, 5, 6)]
-    rows = np.cumsum([0] + [len(a) for a, _ in pairs])
 
-    def perturbed(cost, src, dst, wa, wb):
+    def perturbed(blocks):
         # raise the supply duals of the third block only
-        plan, u, v, iterations = _solve_lp(cost, src, dst, wa, wb)
-        u = u.copy()
-        u[rows[2] : rows[3]] += 1e-6
-        return plan, u, v, iterations
+        solved, iterations = _solve_blocks(blocks)
+        plan, u, v = solved[2]
+        solved[2] = plan, u + 1e-6, v
+        return solved, iterations
 
     assert {r.stats.batch for r in wq_many(pairs, 2.0)} == {4}
-    monkeypatch.setattr(transport, "_solve_lp", perturbed)
+    monkeypatch.setattr(transport, "_solve_blocks", perturbed)
     with pytest.raises(InfeasibleError, match="certificate"):
         wq_many(pairs, 2.0)
 
@@ -340,8 +338,7 @@ def full_edge_cost(mu, nu, q):
     """W_q from one LP on all m x n pairs: the reference for the multiscale route."""
     D = _pairwise_distances(mu, nu)
     Cq = D**q
-    src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
-    plan, _, _, _ = _solve_lp(Cq.ravel(), src, dst, mu.weights, nu.weights)
+    [(plan, _, _)], _ = _solve_blocks([(Cq, mu.weights, nu.weights)])
     return float(np.dot(plan.flow, Cq[plan.src, plan.dst])) ** (1 / q)
 
 
@@ -498,8 +495,7 @@ def test_simplex_iterations_of_the_finest_level():
     assert all(r.stats.simplex_iterations > 0 for r in many)
     a, b = pairs[0]
     Cq = _pairwise_distances(a, b) ** 2.0
-    src, dst = np.nonzero(np.ones(Cq.shape, dtype=bool))
-    assert wq(a, b, 2.0).stats.simplex_iterations == _solve_lp(Cq.ravel(), src, dst, a.weights, b.weights)[3]
+    assert wq(a, b, 2.0).stats.simplex_iterations == _solve_blocks([(Cq, a.weights, b.weights)])[1]
 
 
 @pytest.mark.parametrize("dim", range(1, 8))
@@ -531,6 +527,23 @@ def test_overflowing_exponent_is_input_error():
     nu = DiscreteMeasure([[10.0]], [1.0])
     with pytest.raises(InputError, match="overflow"):
         wq(mu, nu, 1e5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_underflowing_cost_is_input_error(dim):
+    # {0, 0.1} vs {0.3, 0.4}, W_inf = 0.3: the optimal cost 0.3^q is subnormal
+    # from q = 589 and 0 from q = 619, so W_q read 0.2999...98 at q = 600 and
+    # 0.0 from q = 700 on both routes (the LP route in 2D)
+    pad = [0.0] * (dim - 1)
+    mu = DiscreteMeasure([[0.0, *pad], [0.1, *pad]], [0.5, 0.5])
+    nu = DiscreteMeasure([[0.3, *pad], [0.4, *pad]], [0.5, 0.5])
+    assert wq(mu, nu, 500.0).cost == 0.3
+    assert wq(mu, nu, 500.0).stats.route == ("line" if dim == 1 else "lp")
+    for q in (600.0, 700.0, 1000.0, 5000.0):
+        with pytest.raises(InputError, match=f"cost at q = {q} underflows"):
+            wq(mu, nu, q)
+    # a plan that moves nothing costs 0 at any q
+    assert wq(mu, mu, 5000.0).cost == 0.0
 
 
 def test_runs_on_numpy_and_scipy_alone():
